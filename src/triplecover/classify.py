@@ -8,7 +8,6 @@ backing the verdict.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -19,10 +18,21 @@ from .errors import (
     DegenerateCover,
     DegenerateCubic,
     IndeterminateCount,
+    LemmaViolation,
     MultiplicityTooHigh,
     TripleCoverError,
 )
-from .polyring import MPoly, U_VARS, V_VARS, X_VARS, dehomogenize, divides, homogenize
+from .polyring import (
+    MPoly,
+    U_VARS,
+    V_VARS,
+    X_VARS,
+    dehomogenize,
+    divides,
+    homogenize,
+    repeated_part,
+    squarefree_part,
+)
 
 CASE_FLAG_BUNDLE = "FlagBundle"
 CASE_CUBIC_SURFACE = "CubicSurface"
@@ -174,73 +184,63 @@ def _match_flag(cov: AffineCoverData) -> etamap.TernaryCubic | None:
 
 
 # ---------------------------------------------------------------------------
-# Singular point witness search (for NotNormal reports)
+# Singular point witness (for NotNormal reports)
 
 
-def _rational_singular_point(f: etamap.TernaryCubic, seed: int = 0):
-    """A rational common zero of the partials of f, if one is found."""
+def _singular_point(f: etamap.TernaryCubic, repeated: MPoly | None):
+    """A rational singular point of f, or None when it has none.
+
+    ``repeated`` is the repeated part of the branch sextic, whose linear
+    factors p0*x0 + p1*x1 + p2*x2 are the singular points p, or None when
+    D_f vanishes and f has a repeated line, singular at every point.
+    """
     fp = f.as_poly()
-    partials = [fp.partial_derivative(v) for v in V_VARS]
-    rng = random.Random(seed)
-    # Chart v0 != 0.
-    chart = [
-        dehomogenize(p, U_VARS) for p in partials
-    ]
-    nonzero = [p for p in chart if not p.is_zero()]
-    try:
-        if len(nonzero) >= 2:
-            _, pts = etamap._affine_common_zeros(nonzero, rng)
-            for a, b in pts:
-                if all(p.evaluate({"u1": a, "u2": b}) == 0 for p in chart):
-                    return (Fraction(1), a, b)
-    except IndeterminateCount:
-        pass
-    # v0 = 0, v1 != 0.
-    line = [
-        p.substitute({"v0": 0, "v1": 1, "v2": MPoly.variable(("v2",), "v2")},
-                     ("v2",))
-        for p in partials
-    ]
-    nz = [p for p in line if not p.is_zero()]
-    if nz:
-        from .polyring import gcd as pgcd
-        from .univar import rational_roots, to_univariate
-
-        g = nz[0]
-        for p in nz[1:]:
-            g = pgcd(g, p)
-        if not g.is_constant():
-            for r in rational_roots(to_univariate(g, "v2")):
-                if all(p.evaluate({"v2": r}) == 0 for p in line):
-                    return (Fraction(0), Fraction(1), r)
+    if repeated is None:
+        a, b, _ = _line_coefficients(squarefree_part(repeated_part(fp)))
+        witness = (-b, a, Fraction(0)) if a or b \
+            else (Fraction(1), Fraction(0), Fraction(0))
     else:
-        return (Fraction(0), Fraction(1), Fraction(0))
-    # The last candidate point (0 : 0 : 1).
-    if all(p.evaluate({"v0": 0, "v1": 0, "v2": 1}) == 0 for p in partials):
-        return (Fraction(0), Fraction(0), Fraction(1))
-    return None
+        radical = squarefree_part(repeated)
+        line = radical if radical.total_degree() == 1 else etamap.linear_factor(radical)
+        if line is None:
+            return None
+        witness = _line_coefficients(line)
+    pivot = next(c for c in witness if c)
+    witness = tuple(c / pivot for c in witness)
+    at = dict(zip(V_VARS, witness))
+    if any(fp.partial_derivative(v).evaluate(at) for v in V_VARS):
+        raise LemmaViolation(
+            "singular-point witness misses the gradient zeros (internal bug)"
+        )
+    return witness
+
+
+def _line_coefficients(line: MPoly):
+    return tuple(line.terms.get(e, Fraction(0))
+                 for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 # ---------------------------------------------------------------------------
 # Main entry points
 
 
-def classify(spec: CoverSpec, seed: int = 0) -> ClassificationReport:
+def classify(spec: CoverSpec) -> ClassificationReport:
     if spec.kind == "flag":
-        return _classify_flag(spec.flag_cubic, seed)
+        return _classify_flag(spec.flag_cubic)
     if spec.kind == "torus":
-        return _classify_torus(spec.torus_pair, seed)
+        return _classify_torus(spec.torus_pair)
     if spec.kind == "raw":
-        return _classify_raw(spec.raw, seed)
+        return _classify_raw(spec.raw)
     raise TripleCoverError("unknown cover specification kind %r" % spec.kind)
 
 
-def _classify_flag(f: etamap.TernaryCubic, seed: int) -> ClassificationReport:
+def _classify_flag(f: etamap.TernaryCubic) -> ClassificationReport:
     if f is None or f.is_zero():
         raise DegenerateCubic("flag classification of the zero cubic")
-    if not etamap.is_smooth_cubic(f, seed=seed):
+    repeated = etamap.branch_repeated_part(f)
+    if repeated is None or not repeated.is_constant():
         report = ClassificationReport(CASE_NOT_NORMAL)
-        witness = _rational_singular_point(f, seed)
+        witness = _singular_point(f, repeated)
         report.certificates["smooth"] = False
         if witness is not None:
             report.certificates["singular_point"] = witness
@@ -252,34 +252,20 @@ def _classify_flag(f: etamap.TernaryCubic, seed: int) -> ClassificationReport:
         return report
 
     cert = etamap.verify_discrim_lemma(f)
-    branch = homogenize(cert.D_f, 6, X_VARS).monic()
+    form = homogenize(cert.D_f, 6, X_VARS)
+    branch = form.monic()
     report = ClassificationReport(CASE_FLAG_BUNDLE, branch_form=branch)
     report.certificates["smooth"] = True
     report.certificates["lambda"] = cert.lam
-    try:
-        report.decomposition = cover_mod.branch_decomposition(cert.D_f)
-    except (MultiplicityTooHigh, DegenerateCover, TripleCoverError) as exc:
-        report.case = CASE_INDETERMINATE
-        report.notes.append("branch decomposition failed: %s" % exc)
-        return report
-
-    try:
-        locus = etamap.total_branch_locus(f, seed=seed)
-    except IndeterminateCount as exc:
-        report.case = CASE_INDETERMINATE
-        report.notes.append("cusp locus count degenerated: %s" % exc)
-        return report
+    # The smoothness test found the form squarefree: S = form, T = 1.
+    report.decomposition = BranchDecomposition(
+        branch, MPoly.constant(X_VARS, 1), form.leading_coefficient(), form
+    )
+    locus = etamap.total_branch_locus(f)
     report.total_branch = {
         "count": locus.count,
         "rational_points": list(locus.rational_points),
     }
-    if locus.count != 9:
-        report.case = CASE_INDETERMINATE
-        report.notes.append(
-            "expected 9 total branch points on a flag cover, found %d"
-            % locus.count
-        )
-        return report
 
     cusp_verdicts = []
     for point in locus.rational_points:
@@ -314,7 +300,7 @@ def _perfect_cube_fiber(f: etamap.TernaryCubic, point) -> bool:
     return etamap.is_perfect_cube(bc)
 
 
-def _classify_torus(pair: torus.TorusPair, seed: int) -> ClassificationReport:
+def _classify_torus(pair: torus.TorusPair) -> ClassificationReport:
     if pair is None:
         raise TripleCoverError("missing torus pair")
     delta = pair.delta()
@@ -347,7 +333,7 @@ def _classify_torus(pair: torus.TorusPair, seed: int) -> ClassificationReport:
         report.notes.append("branch decomposition failed: %s" % exc)
     report.certificates["surface"] = torus.cubic_surface_form(pair)
     try:
-        locus = torus.total_branch_points(pair, seed=seed)
+        locus = torus.total_branch_points(pair)
         report.total_branch = {
             "count": locus.count_with_multiplicity,
             "rational_points": [p for p, _ in locus.rational_points],
@@ -360,19 +346,19 @@ def _classify_torus(pair: torus.TorusPair, seed: int) -> ClassificationReport:
     return report
 
 
-def _classify_raw(cov: AffineCoverData, seed: int) -> ClassificationReport:
+def _classify_raw(cov: AffineCoverData) -> ClassificationReport:
     if cov is None:
         raise TripleCoverError("missing raw cover data")
     if cov.is_zero():
         raise DegenerateCover("all four data polynomials vanish")
     pair = _match_torus(cov)
     if pair is not None and not pair.delta().is_zero():
-        report = _classify_torus(pair, seed)
+        report = _classify_torus(pair)
         report.notes.append("raw data matched the cubic-surface normal form")
         return report
     cubic = _match_flag(cov)
     if cubic is not None:
-        report = _classify_flag(cubic, seed)
+        report = _classify_flag(cubic)
         report.notes.append("raw data matched the eta normal form")
         return report
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -87,16 +86,6 @@ def _parse_point(text: str, size: int):
     if len(parts) != size:
         raise _UsageError("expected %d comma-separated coordinates" % size)
     return tuple(_parse_fraction(p) for p in parts)
-
-
-def _seed(args) -> int:
-    env = os.environ.get("TCK_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise _UsageError("TCK_SEED must be an integer")
-    return args.seed
 
 
 def _chart_perm(args):
@@ -387,7 +376,7 @@ def _cmd_classify(args):
         if None in (args.b, args.c, args.d):
             raise _UsageError("classify needs all of --a, --b, --c, --d")
         spec = CoverSpec.raw_data(_load_cover(args))
-    report = classify(spec, seed=_seed(args))
+    report = classify(spec)
     print(emit_report(report, args.format))
     if report.case in (CASE_FLAG_BUNDLE, CASE_CUBIC_SURFACE):
         return EXIT_OK
@@ -433,7 +422,7 @@ def _cmd_total_branch(args):
     payload = _base_payload()
     if args.cubic is not None:
         cubic = _load_cubic(args, perm)
-        locus = etamap.total_branch_locus(cubic, seed=_seed(args))
+        locus = etamap.total_branch_locus(cubic)
         payload["total_branch"] = {
             "count": locus.count,
             "rational_points": [_point_str(p) for p in locus.rational_points],
@@ -445,7 +434,7 @@ def _cmd_total_branch(args):
         return EXIT_OK
     if args.g2 is not None and args.g3 is not None:
         pair = _load_pair(args, perm)
-        locus = torus.total_branch_points(pair, seed=_seed(args))
+        locus = torus.total_branch_points(pair)
         payload["total_branch"] = {
             "count": locus.count_with_multiplicity,
             "rational_points": [_point_str(p) for p, _ in locus.rational_points],
@@ -516,7 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--chart", choices=("x0", "x1", "x2"), default="x0")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=int, default=0)
 
     def cover_args(p, required=True):
         for name in ("a", "b", "c", "d"):

@@ -19,7 +19,6 @@ from .polyring import (
     T_VARS,
     UZW_VARS,
     X_VARS,
-    gcd,
     homogenize,
     squarefree_decomposition,
 )
@@ -286,15 +285,3 @@ def is_total_branch_point(cov: AffineCoverData, point) -> TotalBranchVerdict:
         return TotalBranchVerdict("degenerate", z_spec, w_spec)
     total = not any(z_spec) and not any(w_spec)
     return TotalBranchVerdict("total" if total else "not_total", z_spec, w_spec)
-
-
-def branch_meets_line_check(cov: AffineCoverData) -> MPoly:
-    """Convenience: the chart branch polynomial D of the cover."""
-    return derived_invariants(cov).D
-
-
-def common_branch_gcd(cov: AffineCoverData) -> MPoly:
-    """gcd of the four data polynomials (constant for honest cover data)."""
-    g = gcd(cov.a, cov.b)
-    g = gcd(g, cov.c)
-    return gcd(g, cov.d)

@@ -9,8 +9,6 @@ proportional to the branch polynomial D_f; the proportionality constant is
 
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,16 +16,34 @@ from .cover import AffineCoverData, derived_invariants
 from .errors import (
     DegenerateCover,
     DegenerateCubic,
-    IndeterminateCount,
     LemmaViolation,
     NotSmooth,
     TripleCoverError,
 )
-from .polyring import MPoly, U_VARS, UV_VARS, V_VARS, gcd, squarefree_part
+from .polyring import (
+    PROJECTION_CENTERS,
+    MPoly,
+    U_VARS,
+    UV_VARS,
+    V_VARS,
+    X_VARS,
+    center_matrix,
+    dehomogenize,
+    gcd,
+    homogenize,
+    linear_change,
+    repeated_part,
+    resultant,
+    squarefree_decomposition,
+)
 from .univar import rational_roots, to_univariate
 
-_SMOOTH_RETRIES = 5
-_LOCUS_RETRIES = 6
+# The monomials of a ternary cubic with the binomial scale of t1..t10.
+_MONOMIALS = (
+    ((3, 0, 0), 1), ((2, 1, 0), 3), ((2, 0, 1), 3), ((1, 2, 0), 3),
+    ((1, 1, 1), 3), ((1, 0, 2), 3), ((0, 3, 0), 1), ((0, 2, 1), 3),
+    ((0, 1, 2), 3), ((0, 0, 3), 1),
+)
 
 
 @dataclass(frozen=True)
@@ -48,14 +64,8 @@ class TernaryCubic:
         return not any(self.t)
 
     def as_poly(self) -> MPoly:
-        t = self.t
-        monomials = [
-            ((3, 0, 0), 1), ((2, 1, 0), 3), ((2, 0, 1), 3), ((1, 2, 0), 3),
-            ((1, 1, 1), 3), ((1, 0, 2), 3), ((0, 3, 0), 1), ((0, 2, 1), 3),
-            ((0, 1, 2), 3), ((0, 0, 3), 1),
-        ]
         terms = {}
-        for (exps, scale), coeff in zip(monomials, t):
+        for (exps, scale), coeff in zip(_MONOMIALS, self.t):
             if coeff:
                 terms[exps] = scale * coeff
         return MPoly(V_VARS, terms)
@@ -66,12 +76,7 @@ class TernaryCubic:
             raise TripleCoverError("ternary cubics live in (v0, v1, v2)")
         if not p.is_zero() and (not p.is_homogeneous() or p.total_degree() != 3):
             raise TripleCoverError("expected a homogeneous cubic form")
-        monomials = [
-            ((3, 0, 0), 1), ((2, 1, 0), 3), ((2, 0, 1), 3), ((1, 2, 0), 3),
-            ((1, 1, 1), 3), ((1, 0, 2), 3), ((0, 3, 0), 1), ((0, 2, 1), 3),
-            ((0, 1, 2), 3), ((0, 0, 3), 1),
-        ]
-        t = [Fraction(p.terms.get(exps, 0)) / scale for exps, scale in monomials]
+        t = [Fraction(p.terms.get(exps, 0)) / scale for exps, scale in _MONOMIALS]
         return cls(tuple(t))
 
     def permuted(self, perm) -> "TernaryCubic":
@@ -213,260 +218,105 @@ def is_perfect_cube(bc: BinaryCubic) -> bool:
 # Smoothness
 
 
-def _random_matrix(rng, n, span=5):
-    while True:
-        m = [[rng.randint(-span, span) for _ in range(n)] for _ in range(n)]
-        if n == 2:
-            det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        else:
-            det = (
-                m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-            )
-        if det:
-            return m
+def branch_repeated_part(f: TernaryCubic) -> MPoly | None:
+    """Repeated part of the branch sextic homogenize(D_f, 6), or None.
 
-
-def _linear_change(p: MPoly, matrix) -> MPoly:
-    """p(M * vars): substitute each variable by a row combination."""
-    vars = p.vars
-    gens = [MPoly.variable(vars, v) for v in vars]
-    assignment = {}
-    for i, v in enumerate(vars):
-        acc = MPoly.zero(vars)
-        for j, g in enumerate(gens):
-            if matrix[i][j]:
-                acc = acc + matrix[i][j] * g
-        assignment[v] = acc
-    return p.substitute(assignment, vars)
-
-
-def is_smooth_cubic(f: TernaryCubic, seed: int = 0) -> bool:
-    """Do the three partials of f share a projective zero?
-
-    Certified smooth as soon as one random coordinate change yields coprime
-    eliminants; declared singular when a shared factor is forced or every
-    retry leaves a nonconstant common eliminant factor.
+    The repeated factors of the sextic are the lines p0*x0 + p1*x1 + p2*x2 of
+    the singular points p of f, since every line through a singular point
+    meets f twice there.  So the part is constant exactly when f is smooth.
+    None means that D_f vanishes identically, which happens exactly when f
+    has a repeated component.
     """
     if f.is_zero():
         raise DegenerateCubic("smoothness of the zero cubic")
-    fp = f.as_poly()
-    partials = [fp.partial_derivative(v) for v in V_VARS]
-    if any(p.is_zero() for p in partials):
-        return False  # the remaining conics always intersect in P^2
-    rng = random.Random(seed)
-    for _ in range(_SMOOTH_RETRIES):
-        m = _random_matrix(rng, 3)
-        changed = [_linear_change(p, m) for p in partials]
-        pivot = next(
-            (g for g in changed if g.terms.get((2, 0, 0))), None
-        )
-        if pivot is None:
-            continue
-        others = [g for g in changed if g is not pivot]
-        from .polyring import resultant
+    D = derived_invariants(eta(f)).D
+    if D.is_zero():
+        return None
+    # Homogenized, so that a repeated x0 (singular point (1 : 0 : 0)) counts.
+    return repeated_part(homogenize(D, 6, X_VARS))
 
-        r1 = resultant(pivot, others[0], "v0")
-        r2 = resultant(pivot, others[1], "v0")
-        if r1.is_zero() or r2.is_zero():
-            return False  # shared factor; its curve meets the third conic
-        if gcd(r1, r2).is_constant():
-            return True
-    return False
+
+def is_smooth_cubic(f: TernaryCubic) -> bool:
+    """Is f smooth?  Exactly when D_f != 0 and homogenize(D_f, 6) is squarefree."""
+    repeated = branch_repeated_part(f)
+    return repeated is not None and repeated.is_constant()
 
 
 # ---------------------------------------------------------------------------
-# Total branch locus (perfect-cube fibers = cusps of the dual sextic)
+# Total branch locus (cusps of the dual sextic = tangent lines at the flexes)
 
 
-def _chart_hessian(f: TernaryCubic, chart: int):
-    """Hessian-covariant entries of the fiber cubic in the given chart."""
-    perms = {0: (0, 1, 2), 1: (1, 0, 2), 2: (2, 1, 0)}
-    fc = f if chart == 0 else f.permuted(perms[chart])
-    return hessian_covariant(fiber_binary_cubic(fc))
-
-
-def _nonzero(polys):
-    return [h for h in polys if not h.is_zero()]
-
-
-def _univariate_common_roots(polys, var):
-    """Distinct-root count and rational roots of a univariate system."""
-    polys = _nonzero(polys)
-    if not polys:
-        raise IndeterminateCount("system vanishes identically on the line")
-    g = polys[0]
-    for h in polys[1:]:
-        g = gcd(g, h)
-    if g.is_constant():
-        return 0, []
-    g = squarefree_part(g)
-    count = g.total_degree()
-    roots = rational_roots(to_univariate(g, var))
-    verified = [
-        r for r in roots
-        if all(not h.evaluate({var: r, **{v: 0 for v in h.vars if v != var}})
-               for h in polys)
-    ]
-    return count, verified
-
-
-def _combination_eliminants(changed, rng):
-    """Eliminants built from random combinations of the chart curves.
-
-    Used when pairwise resultants degenerate; returns None when the random
-    combinations are unusable (caller retries with a new change).
-    """
-    from .polyring import resultant
-
-    out = []
-    for _ in range(2):
-        comb = changed[0]
-        for h in changed[1:]:
-            comb = comb + rng.randint(1, 9) * h
-        d = comb.degree_in("u2")
-        lead = comb.coefficients_in("u2").get(d)
-        if lead is None or not lead.is_constant():
-            return None
-        for h in changed:
-            r = resultant(comb, h, "u2")
-            if not r.is_zero():
-                out.append(r)
-    return out if len(out) >= 2 else None
-
-
-def _affine_common_zeros(polys, rng):
-    """Distinct common zeros of chart curves: (count, rational points).
-
-    Uses a random linear change so distinct zeros separate along u1, then
-    eliminates u2 by pairwise resultants.  Counts are cross-checked between
-    two independent changes; disagreement raises IndeterminateCount.
-    """
-    from .polyring import resultant
-
-    polys = _nonzero(polys)
-    if not polys:
-        raise IndeterminateCount("system vanishes identically on the chart")
-    if len(polys) == 1:
-        raise IndeterminateCount("single curve has no finite zero set")
-
-    def attempt():
-        for _ in range(_LOCUS_RETRIES):
-            m = _random_matrix(rng, 2, span=4)
-            changed = [_linear_change(h, m) for h in polys]
-            # Leading u2-coefficient of each poly must be constant so the
-            # eliminant roots are exactly the projected common zeros.
-            ok = True
-            for h in changed:
-                d = h.degree_in("u2")
-                lead = h.coefficients_in("u2").get(d)
-                if lead is None or not lead.is_constant():
-                    ok = False
-                    break
-            if not ok:
-                continue
-            # Pairs of curves may share a component (zero resultant) even
-            # when the full system has a finite zero set; zero eliminants
-            # are skipped as long as the surviving pairs still involve
-            # every curve.
-            eliminants = []
-            covered = set()
-            for i, j in itertools.combinations(range(len(changed)), 2):
-                r = resultant(changed[i], changed[j], "u2")
-                if not r.is_zero():
-                    eliminants.append(r)
-                    covered.update((i, j))
-            if len(changed) == 2 and not eliminants:
-                raise IndeterminateCount("curves share a component")
-            if len(covered) < len(changed) or len(eliminants) < 2:
-                extra = _combination_eliminants(changed, rng)
-                if extra is None:
-                    continue
-                eliminants.extend(extra)
-            g = eliminants[0]
-            for e in eliminants[1:]:
-                g = gcd(g, e)
-            if g.is_zero():
-                raise IndeterminateCount("eliminant gcd degenerated")
-            g = squarefree_part(g) if not g.is_constant() else g
-            count = max(g.total_degree(), 0)
-            points = []
-            if not g.is_constant():
-                for alpha in rational_roots(to_univariate(g, "u1")):
-                    fibers = [
-                        h.substitute(
-                            {"u1": alpha, "u2": MPoly.variable(U_VARS, "u2")},
-                            U_VARS,
-                        )
-                        for h in changed
-                    ]
-                    fibers_nz = _nonzero(fibers)
-                    if not fibers_nz:
-                        continue
-                    fg = fibers_nz[0]
-                    for h in fibers_nz[1:]:
-                        fg = gcd(fg, h)
-                    if fg.is_constant():
-                        continue
-                    for beta in rational_roots(to_univariate(fg, "u2")):
-                        at = {"u1": alpha, "u2": beta}
-                        if all(not h.evaluate(at) for h in fibers):
-                            x = m[0][0] * alpha + m[0][1] * beta
-                            y = m[1][0] * alpha + m[1][1] * beta
-                            points.append((x, y))
-            return count, points
-        raise IndeterminateCount("no usable coordinate change found")
-
-    # A non-generic change can merge zeros that share a u1-coordinate, so
-    # keep sampling until two independent changes tell the same story.
-    seen = []
-    for _ in range(_LOCUS_RETRIES):
-        count, points = attempt()
-        key = (count, frozenset(points))
-        if key in seen:
-            return count, sorted(set(points))
-        seen.append(key)
-    raise IndeterminateCount("counts disagree between coordinate changes")
-
-
-def total_branch_locus(f: TernaryCubic, seed: int = 0) -> TotalBranchLocus:
-    """All points whose fiber cubic is a perfect cube (chart by chart).
-
-    For a smooth cubic these are the nine cusps of the dual sextic.
-    """
-    if not is_smooth_cubic(f, seed=seed):
-        raise NotSmooth("total branch locus requires a smooth cubic")
-    rng = random.Random(seed + 1)
-
-    # Chart x0 != 0: the affine part of the locus.
-    h_main = _chart_hessian(f, 0)
-    count0, pts0 = _affine_common_zeros(list(h_main), rng)
-    points = [(Fraction(1), a, b) for a, b in pts0]
-
-    # Chart x1 != 0 restricted to x0 = 0.
-    h1 = _chart_hessian(f, 1)
-    restricted = [
-        h.substitute({"u1": 0, "u2": MPoly.variable(U_VARS, "u2")}, U_VARS)
-        for h in h1
-    ]
-    count1, roots1 = _univariate_common_roots(restricted, "u2")
-    points.extend((Fraction(0), Fraction(1), r) for r in roots1)
-
-    # Chart x2 != 0 at the single point x0 = x1 = 0.
-    h2 = _chart_hessian(f, 2)
-    at_origin = all(
-        not h.evaluate({"u1": 0, "u2": 0}) for h in h2
+def _hessian(fp: MPoly) -> MPoly:
+    """Determinant of the second partials of a ternary form."""
+    h = [[fp.partial_derivative(a).partial_derivative(b) for b in fp.vars]
+         for a in fp.vars]
+    return (
+        h[0][0] * (h[1][1] * h[2][2] - h[1][2] * h[2][1])
+        - h[0][1] * (h[1][0] * h[2][2] - h[1][2] * h[2][0])
+        + h[0][2] * (h[1][0] * h[2][1] - h[1][1] * h[2][0])
     )
-    count2 = 1 if at_origin else 0
-    if at_origin:
-        points.append((Fraction(0), Fraction(0), Fraction(1)))
 
-    certificate = {
-        "chart_counts": (count0, count1, count2),
-        "hessian_chart0": h_main,
-    }
-    return TotalBranchLocus(count0 + count1 + count2, tuple(points), certificate)
+
+def _common_point_on_line(g: MPoly, h: MPoly, w0, w1):
+    """The point (w0 : w1 : w2) of g = h = 0 when it is the only one on the
+    line through (0 : 0 : 1) and is simple, so the gcd there is v2 - w2."""
+    at = {"v0": w0, "v1": w1, "v2": MPoly.variable(V_VARS, "v2")}
+    common = gcd(g.substitute(at, V_VARS), h.substitute(at, V_VARS))
+    return (w0, w1, -common.terms.get((0, 0, 0), Fraction(0)))
+
+
+def total_branch_locus(f: TernaryCubic) -> TotalBranchLocus:
+    """The nine cusps of the dual sextic of a smooth cubic f.
+
+    The cusps are the tangent lines grad f(p) at the nine flexes p of f, the
+    points of f = Hess(f) = 0.  Projected from a center off both curves,
+    they give an eliminant of degree 9 on the pencil of lines through the
+    center, whose root for a line has the intersection multiplicity of f
+    and Hess(f) along it.  The flexes of a smooth f are simple and a line
+    through two of them holds a third, so every root has multiplicity 1 or
+    3, and a squarefree eliminant certifies nine distinct flexes.  Such a
+    center fails only on f, on Hess(f) or on the 12 lines through three
+    flexes, a curve of degree 18, so one of ``PROJECTION_CENTERS`` is good.
+    Anything else (a zero eliminant, another multiplicity, no good center)
+    shows that f is singular and raises NotSmooth.  The flex on a line with
+    a rational root is unique, hence rational.
+    """
+    fp = f.as_poly()
+    hess = _hessian(fp)
+    for center in PROJECTION_CENTERS:
+        m = center_matrix(center)
+        g, h = linear_change(fp, m), linear_change(hess, m)
+        if not (g.terms.get((0, 0, 3)) and h.terms.get((0, 0, 3))):
+            continue
+        # The eliminant on the directions (1 : t); it falls short of degree
+        # 9 by the multiplicity of the direction (0 : 1).
+        elim = resultant(dehomogenize(g, U_VARS), dehomogenize(h, U_VARS), "u2")
+        if elim.is_zero():
+            raise NotSmooth("the cubic shares a component with its Hessian")
+        mults = {mult for _, mult in squarefree_decomposition(elim).parts}
+        if elim.total_degree() < 9:
+            mults.add(9 - elim.total_degree())
+        if mults == {1}:
+            break
+        if not mults <= {1, 3}:
+            raise NotSmooth("a singular point of the cubic meets its Hessian")
+    else:
+        raise NotSmooth("no projection center separates nine flexes")
+
+    directions = [(Fraction(1), t) for t in rational_roots(to_univariate(elim, "u1"))]
+    if elim.total_degree() == 8:
+        directions.append((Fraction(0), Fraction(1)))
+    gradient = [fp.partial_derivative(v) for v in V_VARS]
+    cusps = []
+    for w0, w1 in directions:
+        w = _common_point_on_line(g, h, w0, w1)
+        flex = {v: sum(m[i][j] * w[j] for j in range(3)) for i, v in enumerate(V_VARS)}
+        cusp = [d.evaluate(flex) for d in gradient]
+        pivot = next(c for c in cusp if c)
+        cusps.append(tuple(c / pivot for c in cusp))
+    # Chart order: the points (1, a, b) by (a, b), then (0, 1, c), (0, 0, 1).
+    cusps.sort(key=lambda p: (p.index(1), p))
+    return TotalBranchLocus(9, tuple(cusps), {"center": center, "eliminant": elim})
 
 
 # ---------------------------------------------------------------------------
@@ -480,41 +330,37 @@ def has_linear_factor(f: TernaryCubic):
     """Rational linear factors of f: (flag, witness linear form or None)."""
     if f.is_zero():
         raise DegenerateCubic("factor search on the zero cubic")
-    fp = f.as_poly()
+    witness = linear_factor(f.as_poly())
+    return witness is not None, witness
 
-    witness = _search_v0_lines(fp)
-    if witness is not None:
-        return True, witness
-    witness = _search_v1_lines(fp)
-    if witness is not None:
-        return True, witness
-    # Remaining candidate: the line v2 = 0.
-    if fp.substitute(
-        {"v0": MPoly.variable(V_VARS, "v0"), "v1": MPoly.variable(V_VARS, "v1"),
-         "v2": 0}, V_VARS
-    ).is_zero():
-        return True, MPoly.variable(V_VARS, "v2")
-    return False, None
+
+def linear_factor(p: MPoly):
+    """A rational linear factor of a nonzero ternary form, or None."""
+    witness = _search_v0_lines(p)
+    if witness is None:
+        witness = _search_v1_lines(p)
+    if witness is None and all(e[2] for e in p.terms):
+        witness = MPoly.variable(p.vars, p.vars[2])
+    return witness
 
 
 def _search_v0_lines(fp: MPoly):
-    """Factors v0 - al*v1 - be*v2 with symbolic (al, be)."""
-    from .polyring import resultant
-
-    vars = ("al", "be", "v1", "v2")
+    """Factors y0 - al*y1 - be*y2 of a form in (y0, y1, y2), symbolic (al, be)."""
+    y0, y1, y2 = fp.vars
+    vars = ("al", "be", y1, y2)
     al = MPoly.variable(vars, "al")
     be = MPoly.variable(vars, "be")
-    v1 = MPoly.variable(vars, "v1")
-    v2 = MPoly.variable(vars, "v2")
-    restricted = fp.substitute({"v0": al * v1 + be * v2, "v1": v1, "v2": v2}, vars)
+    w1 = MPoly.variable(vars, y1)
+    w2 = MPoly.variable(vars, y2)
+    restricted = fp.substitute({y0: al * w1 + be * w2, y1: w1, y2: w2}, vars)
     system = []
-    for coeff in restricted.collect(("v1", "v2")).values():
+    for coeff in restricted.collect((y1, y2)).values():
         system.append(MPoly(_AB_VARS, {
             (e[0], e[1]): c for e, c in coeff.terms.items()
         }))
     system = [e for e in system if not e.is_zero()]
     if not system:
-        return None  # cannot happen for nonzero f
+        return None  # cannot happen for nonzero fp
     candidates = set()
     positive = [e for e in system if e.degree_in("be") > 0]
     if not positive:
@@ -568,22 +414,21 @@ def _search_v0_lines(fp: MPoly):
             beta_options = rational_roots(to_univariate(fg, "be"))
         for beta in beta_options:
             if all(not e.evaluate({"al": alpha, "be": beta}) for e in system):
-                v0 = MPoly.variable(V_VARS, "v0")
-                w1 = MPoly.variable(V_VARS, "v1")
-                w2 = MPoly.variable(V_VARS, "v2")
-                return v0 - alpha * w1 - beta * w2
+                z0, z1, z2 = (MPoly.variable(fp.vars, v) for v in fp.vars)
+                return z0 - alpha * z1 - beta * z2
     return None
 
 
 def _search_v1_lines(fp: MPoly):
-    """Factors v1 - ga*v2 (lines missing v0)."""
-    vars = ("ga", "v0", "v2")
+    """Factors y1 - ga*y2 (lines missing y0) of a form in (y0, y1, y2)."""
+    y0, y1, y2 = fp.vars
+    vars = ("ga", y0, y2)
     ga = MPoly.variable(vars, "ga")
-    v0 = MPoly.variable(vars, "v0")
-    v2 = MPoly.variable(vars, "v2")
-    restricted = fp.substitute({"v0": v0, "v1": ga * v2, "v2": v2}, vars)
+    w0 = MPoly.variable(vars, y0)
+    w2 = MPoly.variable(vars, y2)
+    restricted = fp.substitute({y0: w0, y1: ga * w2, y2: w2}, vars)
     system = []
-    for coeff in restricted.collect(("v0", "v2")).values():
+    for coeff in restricted.collect((y0, y2)).values():
         system.append(MPoly(("ga",), {(e[0],): c for e, c in coeff.terms.items()}))
     system = [e for e in system if not e.is_zero()]
     if not system:
@@ -595,7 +440,5 @@ def _search_v1_lines(fp: MPoly):
         return None
     for gamma in rational_roots(to_univariate(g, "ga")):
         if all(not e.evaluate({"ga": gamma}) for e in system):
-            w1 = MPoly.variable(V_VARS, "v1")
-            w2 = MPoly.variable(V_VARS, "v2")
-            return w1 - gamma * w2
+            return MPoly.variable(fp.vars, y1) - gamma * MPoly.variable(fp.vars, y2)
     return None

@@ -8,6 +8,7 @@ branch forms) is built on this module.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -356,18 +357,6 @@ class MPoly:
             total += value
         return total
 
-    def rename(self, new_vars) -> "MPoly":
-        """Reinterpret over a same-arity variable set, keeping exponents."""
-        new_vars = tuple(new_vars)
-        if len(new_vars) != len(self.vars):
-            raise VariableMismatchError(
-                "cannot rename %r to %r" % (self.vars, new_vars)
-            )
-        p = MPoly.__new__(MPoly)
-        object.__setattr__(p, "vars", new_vars)
-        object.__setattr__(p, "terms", dict(self.terms))
-        return p
-
     def permute_vars(self, perm) -> "MPoly":
         """Apply a permutation of the variable positions to every monomial.
 
@@ -466,6 +455,40 @@ def dehomogenize(p: MPoly, chart_vars=U_VARS) -> MPoly:
         nexps = exps[1:]
         terms[nexps] = terms.get(nexps, Fraction(0)) + c
     return MPoly(chart_vars, terms)
+
+
+# ---------------------------------------------------------------------------
+# Linear changes and projection centers
+
+# Projection centers (a, b, 1) on the grid 0 <= a, b < 19, nearest first.  A
+# nonzero form of degree d vanishes at no more than 19 d of these 361 points
+# (Schwartz-Zippel), so a projection that fails only for centers on a curve
+# of degree d < 19 succeeds at one of them.
+PROJECTION_CENTERS = tuple(
+    (a, b, 1)
+    for a, b in sorted(itertools.product(range(19), repeat=2),
+                       key=lambda c: (max(c), c))
+)
+
+
+def center_matrix(center):
+    """The shear M with M * (0, 0, 1) = center, for a center (a, b, 1)."""
+    a, b, _ = center
+    return ((1, 0, a), (0, 1, b), (0, 0, 1))
+
+
+def linear_change(p: MPoly, matrix) -> MPoly:
+    """p(M * vars): substitute each variable by a row combination."""
+    vars = p.vars
+    gens = [MPoly.variable(vars, v) for v in vars]
+    assignment = {}
+    for i, v in enumerate(vars):
+        acc = MPoly.zero(vars)
+        for j, g in enumerate(gens):
+            if matrix[i][j]:
+                acc = acc + matrix[i][j] * g
+        assignment[v] = acc
+    return p.substitute(assignment, vars)
 
 
 # ---------------------------------------------------------------------------

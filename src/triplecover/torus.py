@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -14,21 +13,21 @@ from .errors import (
     TripleCoverError,
 )
 from .polyring import (
+    PROJECTION_CENTERS,
     MPoly,
     U_VARS,
     X4_VARS,
     X_VARS,
+    center_matrix,
     dehomogenize,
     gcd,
+    linear_change,
     radical_divides,
     repeated_part,
     resultant,
     squarefree_part,
 )
 from .univar import rational_roots, to_univariate
-
-_ROTATION_RETRIES = 8
-
 
 @dataclass(frozen=True)
 class TorusPair:
@@ -177,24 +176,23 @@ class IntersectionLocus:
     eliminants: dict
 
 
-def total_branch_points(pair: TorusPair, seed: int = 0) -> IntersectionLocus:
+def total_branch_points(pair: TorusPair) -> IntersectionLocus:
     """Intersection of the conic G2 = 0 and the cubic G3 = 0.
 
-    Projects from a random center so the resultant in x2 has the full
-    Bezout degree 6; rational intersection points are recovered exactly and
-    reported with the multiplicity of their eliminant root.
+    Projects from the first of ``PROJECTION_CENTERS`` off both curves, so
+    the resultant in x2 has the full Bezout degree 6 (the curves have degree
+    5 together, so one center is off both); rational intersection points are
+    recovered exactly and reported with the multiplicity of their eliminant
+    root.
     """
     if pair.G2.is_zero() or pair.G3.is_zero():
         raise CommonComponent("a zero form has no finite intersection")
     if not gcd(pair.G2, pair.G3).is_constant():
         raise CommonComponent("G2 and G3 share a component")
-    rng = random.Random(seed)
-    from .etamap import _linear_change, _random_matrix
-
-    for _ in range(_ROTATION_RETRIES):
-        m = _random_matrix(rng, 3, span=3)
-        g2 = _linear_change(pair.G2, m)
-        g3 = _linear_change(pair.G3, m)
+    for center in PROJECTION_CENTERS:
+        m = center_matrix(center)
+        g2 = linear_change(pair.G2, m)
+        g3 = linear_change(pair.G3, m)
         lead2 = g2.terms.get((0, 0, 2))
         lead3 = g3.terms.get((0, 0, 3))
         if not lead2 or not lead3:

@@ -73,6 +73,41 @@ def test_classify_nodal_cubic_witness():
     )
 
 
+@pytest.mark.parametrize("form", [
+    v1 ** 3 + v2 ** 3 + v0 * v1 * v2,
+    v0 ** 3 - v1 ** 2 * v2,
+    (v0 * v2 - v1 ** 2) * (v0 - v2),
+    (v0 * v2 - v1 ** 2) * v2,
+    v0 * v1 * v2,
+    v0 * v1 * (v0 + v1),
+    v0 ** 2 * v1 + v0 ** 2 * v2,
+    (v0 + 2 * v1 - v2) ** 3,
+], ids=["nodal", "cuspidal", "conic_line", "conic_tangent", "triangle",
+        "concurrent_lines", "double_line", "triple_line"])
+def test_classify_singular_witness_zeroes_gradient(form):
+    report = classify(CoverSpec.flag(TernaryCubic.from_poly(form)))
+    assert report.case == CASE_NOT_NORMAL
+    at = dict(zip(V_VARS, report.certificates["singular_point"]))
+    assert all(not form.partial_derivative(v).evaluate(at) for v in V_VARS)
+
+
+def test_classify_flag_cusps_sharing_a_projection():
+    """A smooth cubic whose nine cusps a random chart projection merged."""
+    f = TernaryCubic.from_poly(
+        2 * v0 ** 3 + 3 * v0 ** 2 * v1 + 9 * v0 ** 2 * v2 + 3 * v0 * v1 ** 2
+        + 9 * v0 * v1 * v2 + v1 ** 3 + v2 ** 3
+    )
+    report = classify(CoverSpec.flag(f))
+    assert report.case == CASE_FLAG_BUNDLE
+    assert report.total_branch["count"] == 9
+    assert set(report.total_branch["rational_points"]) == {
+        (Fraction(1), Fraction(-1, 2), Fraction(-1, 2)),
+        (Fraction(1), Fraction(1, 2), Fraction(-3, 2)),
+        (Fraction(1), Fraction(3, 2), Fraction(-1, 2)),
+    }
+    assert cross_validate(report) == []
+
+
 def test_classify_zero_cubic_rejected():
     with pytest.raises(DegenerateCubic):
         classify(CoverSpec.flag(TernaryCubic((0,) * 10)))

@@ -1,10 +1,16 @@
 """Tests for the tck command line tool."""
 
 import json
+import re
+from fractions import Fraction
 
 from triplecover.cli import run
+from triplecover.polyparse import parse_poly
+from triplecover.polyring import V_VARS
 
 FERMAT = "v0^3+v1^3+v2^3"
+DOUBLE_LINE = "v0^2*v1+v0^2*v2"
+SINGULAR_NOTE = re.compile(r"singular at \((.+) : (.+) : (.+)\)")
 FERMAT_BRANCH = "(x0^3-x1^3-x2^3)^2-4*x1^3*x2^3"
 
 
@@ -187,17 +193,34 @@ def test_missing_file_is_usage_error(capsys):
     assert code == 2
 
 
-def test_seed_env_override(monkeypatch, capsys):
-    monkeypatch.setenv("TCK_SEED", "17")
-    code, out, _ = invoke(capsys, "total-branch", "--cubic", FERMAT)
-    assert code == 0
-    assert "total branch count: 9" in out
+def test_classify_double_line_witness(capsys):
+    # D_f vanishes identically for a double line, singular all along it.
+    code, out, err = invoke(capsys, "classify", "--flag-cubic", DOUBLE_LINE,
+                            "--format", "json")
+    assert code == 1
+    assert err == ""
+    payload = json.loads(out)
+    assert payload["case"] == "NotNormal"
+    match = next(filter(None, (SINGULAR_NOTE.search(n) for n in payload["notes"])))
+    at = {v: Fraction(c) for v, c in zip(V_VARS, match.groups())}
+    f = parse_poly(DOUBLE_LINE, V_VARS)
+    assert all(not f.partial_derivative(v).evaluate(at) for v in V_VARS)
 
 
-def test_bad_seed_env(monkeypatch, capsys):
-    monkeypatch.setenv("TCK_SEED", "junk")
-    code, _, err = invoke(capsys, "total-branch", "--cubic", FERMAT)
-    assert code == 2
+def test_verdict_independent_of_chart(capsys):
+    inputs = (
+        ("--flag-cubic", "v0^3+2*v1^3+3*v2^3+v0*v1*v2"),
+        ("--flag-cubic", "v1^3+v2^3+v0*v1*v2"),
+        ("--g2", "x0*x1", "--g3", "x2^3-x0^3"),
+    )
+    for argv in inputs:
+        verdicts = set()
+        for chart in ("x0", "x1", "x2"):
+            _, out, _ = invoke(capsys, "classify", *argv, "--chart", chart,
+                               "--format", "json")
+            payload = json.loads(out)
+            verdicts.add((payload["case"], payload["total_branch"]["count"]))
+        assert len(verdicts) == 1, (argv, verdicts)
 
 
 def test_json_output_deterministic(capsys):

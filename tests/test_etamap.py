@@ -175,6 +175,18 @@ def test_smoothness_nodal():
     assert not is_smooth_cubic(nodal)
 
 
+@pytest.mark.parametrize("form", [
+    (v0 * v2 - v1 ** 2) * (v0 - v2),
+    (v0 * v2 - v1 ** 2) * v2,
+    v0 * v1 * (v0 + v1),
+    v0 ** 2 * v1,
+    v0 ** 3,
+], ids=["conic_line", "conic_tangent", "concurrent_lines", "double_line",
+        "triple_line"])
+def test_smoothness_classical_singular(form):
+    assert not is_smooth_cubic(TernaryCubic.from_poly(form))
+
+
 def test_total_branch_locus_fermat():
     locus = total_branch_locus(FERMAT)
     assert locus.count == 9
