@@ -23,6 +23,7 @@ from .errors import (
     TripleCoverError,
 )
 from .polyring import (
+    CHART_PERMS,
     MPoly,
     U_VARS,
     V_VARS,
@@ -292,10 +293,10 @@ def _perfect_cube_fiber(f: etamap.TernaryCubic, point) -> bool:
     """
     point = tuple(Fraction(c) for c in point)
     pivot = next(i for i, c in enumerate(point) if c)
-    perms = {0: (0, 1, 2), 1: (1, 0, 2), 2: (2, 1, 0)}
-    fc = f if pivot == 0 else f.permuted(perms[pivot])
+    perm = CHART_PERMS[pivot]
+    fc = f if pivot == 0 else f.permuted(perm)
     scaled = tuple(c / point[pivot] for c in point)
-    chart_pt = [scaled[i] for i in (perms[pivot].index(j) for j in (1, 2))]
+    chart_pt = [scaled[i] for i in (perm.index(j) for j in (1, 2))]
     bc = etamap.fiber_binary_cubic(fc, tuple(chart_pt))
     return etamap.is_perfect_cube(bc)
 

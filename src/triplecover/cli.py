@@ -35,15 +35,21 @@ from .errors import (
     TripleCoverError,
 )
 from .polyparse import ParseError, parse_poly, print_poly
-from .polyring import MPoly, T_VARS, U_VARS, V_VARS, X_VARS, squarefree_part
+from .polyring import (
+    CHART_PERMS,
+    MPoly,
+    T_VARS,
+    U_VARS,
+    V_VARS,
+    X_VARS,
+    squarefree_part,
+)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_DEGENERATE = 4
-
-_CHART_PERMS = {"x0": (0, 1, 2), "x1": (1, 0, 2), "x2": (2, 1, 0)}
 
 _DEGENERACIES = (
     DegenerateCover,
@@ -89,7 +95,7 @@ def _parse_point(text: str, size: int):
 
 
 def _chart_perm(args):
-    return _CHART_PERMS[args.chart]
+    return CHART_PERMS[int(args.chart[1])]
 
 
 def _rotate_form(p: MPoly, perm) -> MPoly:

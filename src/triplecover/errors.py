@@ -34,7 +34,7 @@ class NotSmooth(TripleCoverError):
 
 
 class IndeterminateCount(TripleCoverError):
-    """Resultant chains degenerated on every retry; no count can be certified."""
+    """No projection center gave a usable eliminant; no count is certified."""
 
 
 class CommonComponent(TripleCoverError):

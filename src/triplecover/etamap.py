@@ -29,6 +29,7 @@ from .polyring import (
     X_VARS,
     center_matrix,
     dehomogenize,
+    divides,
     gcd,
     homogenize,
     linear_change,
@@ -323,9 +324,6 @@ def total_branch_locus(f: TernaryCubic) -> TotalBranchLocus:
 # Reducibility
 
 
-_AB_VARS = ("al", "be")
-
-
 def has_linear_factor(f: TernaryCubic):
     """Rational linear factors of f: (flag, witness linear form or None)."""
     if f.is_zero():
@@ -335,110 +333,35 @@ def has_linear_factor(f: TernaryCubic):
 
 
 def linear_factor(p: MPoly):
-    """A rational linear factor of a nonzero ternary form, or None."""
-    witness = _search_v0_lines(p)
-    if witness is None:
-        witness = _search_v1_lines(p)
-    if witness is None and all(e[2] for e in p.terms):
-        witness = MPoly.variable(p.vars, p.vars[2])
-    return witness
+    """A rational linear factor of a nonzero ternary form, or None.
 
-
-def _search_v0_lines(fp: MPoly):
-    """Factors y0 - al*y1 - be*y2 of a form in (y0, y1, y2), symbolic (al, be)."""
-    y0, y1, y2 = fp.vars
-    vars = ("al", "be", y1, y2)
-    al = MPoly.variable(vars, "al")
-    be = MPoly.variable(vars, "be")
-    w1 = MPoly.variable(vars, y1)
-    w2 = MPoly.variable(vars, y2)
-    restricted = fp.substitute({y0: al * w1 + be * w2, y1: w1, y2: w2}, vars)
-    system = []
-    for coeff in restricted.collect((y1, y2)).values():
-        system.append(MPoly(_AB_VARS, {
-            (e[0], e[1]): c for e, c in coeff.terms.items()
-        }))
-    system = [e for e in system if not e.is_zero()]
-    if not system:
-        return None  # cannot happen for nonzero fp
-    candidates = set()
-    positive = [e for e in system if e.degree_in("be") > 0]
-    if not positive:
-        # System is univariate in al already.
-        g = system[0]
-        for e in system[1:]:
-            g = gcd(g, e)
-        if g.is_constant():
-            return None
-        candidates.update(rational_roots(to_univariate(g, "al")))
-    else:
-        base = positive[0]
-        elim = []
-        for other in system:
-            if other is base:
-                continue
-            if other.degree_in("be") == 0 and other.degree_in("al") == 0:
-                return None  # nonzero constant equation: no solution
-            try:
-                e = resultant(base, other, "be")
-            except TripleCoverError:
-                continue
-            if not e.is_zero():
-                elim.append(e)
-        if not elim:
-            elim = [MPoly.zero(_AB_VARS)]
-        g = elim[0]
-        for e in elim[1:]:
-            g = gcd(g, e)
-        if g.is_zero():
-            g = base.coefficients_in("be").get(0, MPoly.zero(_AB_VARS))
-        if g.is_constant():
-            return None
-        if g.degree_in("al") > 0:
-            candidates.update(rational_roots(to_univariate(g, "al")))
-    for alpha in sorted(candidates):
-        special = [
-            e.substitute({"al": alpha, "be": MPoly.variable(_AB_VARS, "be")},
-                         _AB_VARS)
-            for e in system
-        ]
-        nz = [e for e in special if not e.is_zero()]
-        if not nz:
-            beta_options = [Fraction(0)]
-        else:
-            fg = nz[0]
-            for e in nz[1:]:
-                fg = gcd(fg, e)
-            if fg.is_constant():
-                continue
-            beta_options = rational_roots(to_univariate(fg, "be"))
-        for beta in beta_options:
-            if all(not e.evaluate({"al": alpha, "be": beta}) for e in system):
-                z0, z1, z2 = (MPoly.variable(fp.vars, v) for v in fp.vars)
-                return z0 - alpha * z1 - beta * z2
+    A factor y0 - al*y1 - be*y2 meets y2 = 0 at (al : 1 : 0) and y1 = 0 at
+    (be : 0 : 1), so al and be are roots of p on those coordinate lines; a
+    factor y1 - ga*y2 meets y0 = 0 at (0 : ga : 1).  The candidates are
+    tried by exact division in the order (al, be), then ga, then y2.
+    """
+    y = [MPoly.variable(p.vars, v) for v in p.vars]
+    for al in _roots_on_line(p, 0, 2):
+        for be in _roots_on_line(p, 0, 1):
+            line = y[0] - al * y[1] - be * y[2]
+            if divides(line, p)[0]:
+                return line
+    for ga in _roots_on_line(p, 1, 0):
+        line = y[1] - ga * y[2]
+        if divides(line, p)[0]:
+            return line
+    if all(e[2] for e in p.terms):
+        return y[2]
     return None
 
 
-def _search_v1_lines(fp: MPoly):
-    """Factors y1 - ga*y2 (lines missing y0) of a form in (y0, y1, y2)."""
-    y0, y1, y2 = fp.vars
-    vars = ("ga", y0, y2)
-    ga = MPoly.variable(vars, "ga")
-    w0 = MPoly.variable(vars, y0)
-    w2 = MPoly.variable(vars, y2)
-    restricted = fp.substitute({y0: w0, y1: ga * w2, y2: w2}, vars)
-    system = []
-    for coeff in restricted.collect((y0, y2)).values():
-        system.append(MPoly(("ga",), {(e[0],): c for e, c in coeff.terms.items()}))
-    system = [e for e in system if not e.is_zero()]
-    if not system:
-        return None
-    g = system[0]
-    for e in system[1:]:
-        g = gcd(g, e)
-    if g.is_constant():
-        return None
-    for gamma in rational_roots(to_univariate(g, "ga")):
-        if all(not e.evaluate({"ga": gamma}) for e in system):
-            return MPoly.variable(fp.vars, y1) - gamma * MPoly.variable(fp.vars, y2)
-    return None
+def _roots_on_line(p: MPoly, var: int, zero: int):
+    """Rational t with p(t) = 0 on the coordinate line y[zero] = 0, where
+    y[var] = t and the third coordinate is 1, after the power of y[zero]
+    dividing p is divided out (so that the restriction is not zero)."""
+    low = min(e[zero] for e in p.terms)
+    coeffs = [Fraction(0)] * (p.degree_in(p.vars[var]) + 1)
+    for e, c in p.terms.items():
+        if e[zero] == low:
+            coeffs[e[var]] += c
+    return rational_roots(coeffs)

@@ -471,6 +471,10 @@ PROJECTION_CENTERS = tuple(
 )
 
 
+# CHART_PERMS[k] swaps x0 and xk, moving the chart xk != 0 to x0 != 0.
+CHART_PERMS = ((0, 1, 2), (1, 0, 2), (2, 1, 0))
+
+
 def center_matrix(center):
     """The shear M with M * (0, 0, 1) = center, for a center (a, b, 1)."""
     a, b, _ = center
@@ -681,7 +685,7 @@ def _sylvester_matrix(p: MPoly, q: MPoly, var):
 
 def _det_univariate_interp(matrix, var):
     """Determinant via evaluation/interpolation when entries only use var."""
-    from .univar import interpolate, to_univariate
+    from .univar import eval_coeffs, from_univariate, interpolate, to_univariate
 
     vars = matrix[0][0].vars
     degree_bound = sum(
@@ -692,27 +696,13 @@ def _det_univariate_interp(matrix, var):
     values = []
     x = 0
     coeff_rows = [[to_univariate(e, var) for e in row] for row in matrix]
-
-    def eval_poly(coeffs, at):
-        acc = Fraction(0)
-        for c in reversed(coeffs):
-            acc = acc * at + c
-        return acc
-
     while len(points) < degree_bound + 1:
         at = Fraction(x)
         x = -x if x > 0 else -x + 1
-        scalar = [[eval_poly(c, at) for c in row] for row in coeff_rows]
+        scalar = [[eval_coeffs(c, at) for c in row] for row in coeff_rows]
         points.append(at)
         values.append(_det_scalar(scalar))
-    coeffs = interpolate(points, values)
-    terms = {}
-    i = vars.index(var)
-    for d, c in enumerate(coeffs):
-        if c:
-            exps = tuple(d if j == i else 0 for j in range(len(vars)))
-            terms[exps] = c
-    return MPoly(vars, terms)
+    return from_univariate(interpolate(points, values), vars, var)
 
 
 def resultant(p: MPoly, q: MPoly, var) -> MPoly:

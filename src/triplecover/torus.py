@@ -27,7 +27,8 @@ from .polyring import (
     resultant,
     squarefree_part,
 )
-from .univar import rational_roots, to_univariate
+from .univar import derivative, eval_coeffs, rational_roots, to_univariate
+
 
 @dataclass(frozen=True)
 class TorusPair:
@@ -226,22 +227,11 @@ def total_branch_points(pair: TorusPair) -> IntersectionLocus:
 
 
 def _root_multiplicity(coeffs, root):
-    """Multiplicity of a root in an ascending coefficient list."""
-    work = [Fraction(c) for c in coeffs]
-    while work and not work[-1]:
-        work.pop()
+    """Multiplicity of a root of a nonzero ascending coefficient list: the
+    number of derivatives, from the 0th on, that vanish there."""
     mult = 0
-    while len(work) > 1:
-        # Synthetic division by (t - root); remainder must be zero.
-        quotient = []
-        acc = Fraction(0)
-        for c in reversed(work):
-            acc = acc * root + c
-            quotient.append(acc)
-        remainder = quotient.pop()
-        if remainder:
-            break
-        work = list(reversed(quotient))
+    while any(coeffs) and not eval_coeffs(coeffs, root):
+        coeffs = derivative(coeffs)
         mult += 1
     return mult
 

@@ -1,14 +1,16 @@
-"""Univariate helpers: coefficient lists, interpolation, rational roots."""
+"""Univariate helpers: coefficient lists, interpolation, rational roots.
+
+Everything is exact: rational roots come from p-adic lifting and are checked
+by evaluation, with no floating point anywhere.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as int_gcd
 
-import mpmath
-
 from .errors import TripleCoverError
-from .polyring import MPoly
+from .polyring import MPoly, T_VARS, squarefree_part
 
 
 def to_univariate(p: MPoly, var):
@@ -41,6 +43,10 @@ def eval_coeffs(coeffs, at: Fraction) -> Fraction:
     for c in reversed(coeffs):
         acc = acc * at + c
     return acc
+
+
+def derivative(coeffs):
+    return [k * c for k, c in enumerate(coeffs)][1:]
 
 
 def interpolate(points, values):
@@ -85,85 +91,76 @@ def _clear_denominators(coeffs):
     return ints
 
 
-def _squarefree_coeffs(coeffs):
-    """Deflate repeated roots: coeffs / gcd(coeffs, coeffs')."""
-    deriv = [c * (i + 1) for i, c in enumerate(coeffs[1:])]
+def _eval_mod(ints, at, m):
+    acc = 0
+    for c in reversed(ints):
+        acc = (acc * at + c) % m
+    return acc
 
-    def polydiv(a, b):
-        a = a[:]
-        out = [Fraction(0)] * (len(a) - len(b) + 1)
-        while len(a) >= len(b) and any(a):
-            while a and not a[-1]:
-                a.pop()
-            if len(a) < len(b):
-                break
-            k = len(a) - len(b)
-            q = a[-1] / b[-1]
-            out[k] = q
-            for i, bc in enumerate(b):
-                a[i + k] -= q * bc
-            a.pop()
-        while a and not a[-1]:
-            a.pop()
-        return out, a
 
-    def polygcd(a, b):
-        a, b = a[:], b[:]
-        while b and any(b):
-            _, r = polydiv(a, b)
-            a, b = b, r
-        lead = a[-1]
-        return [c / lead for c in a]
+def _odd_primes():
+    n = 3
+    while True:
+        if all(n % k for k in range(3, int(n ** 0.5) + 1, 2)):
+            yield n
+        n += 2
 
-    if len(coeffs) <= 1 or not any(deriv):
-        return coeffs
-    g = polygcd([Fraction(c) for c in coeffs], [Fraction(c) for c in deriv])
-    if len(g) == 1:
-        return coeffs
-    q, r = polydiv([Fraction(c) for c in coeffs], g)
-    if any(r):
-        raise TripleCoverError("squarefree deflation failed")
-    return q
+
+def _simple_roots_mod_p(ints):
+    """(p, roots of ints mod p) for the first odd prime p not dividing the
+    leading coefficient at which every root mod p is simple.
+
+    A squarefree integer polynomial has a nonzero discriminant, and only its
+    prime divisors and those of the leading coefficient can fail, so the
+    search ends.
+    """
+    deriv = derivative(ints)
+    for p in _odd_primes():
+        if ints[-1] % p == 0:
+            continue
+        roots = [r for r in range(p) if not _eval_mod(ints, r, p)]
+        if all(_eval_mod(deriv, r, p) for r in roots):
+            return p, roots
 
 
 def rational_roots(coeffs):
-    """All rational roots of a univariate polynomial, each once.
+    """All rational roots of a univariate polynomial, sorted, each once.
 
-    Numeric root isolation (mpmath, high precision) proposes candidates;
-    every returned root is verified exactly.  The leading-coefficient trick
-    (a_n * root is an integer for any rational root of an integer
-    polynomial) makes candidate recovery exact.
+    Exact p-adic search (Loos, SIAM J. Comput. 12, 1983).  For the
+    squarefree part f with integer coefficients and leading coefficient
+    ``lead``, every rational root r has a denominator dividing ``lead``, so
+    it reduces to a root mod any prime p not dividing ``lead``.  At a prime
+    where every root mod p is simple, each lifts uniquely to a p-adic root
+    by Newton's method; once p^k exceeds 2 |lead r| the symmetric residue
+    of lead * r mod p^k is that integer itself.  Each candidate is checked
+    exactly against the input, so no root is dropped and none invented.
     """
     coeffs = [Fraction(c) for c in coeffs]
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     if not coeffs:
         raise TripleCoverError("rational_roots of the zero polynomial")
-    roots = []
-    # Strip zero roots first.
-    if not coeffs[0]:
-        roots.append(Fraction(0))
-        while not coeffs[0]:
-            coeffs.pop(0)
     if len(coeffs) == 1:
-        return roots
-    if len(coeffs) == 2:
-        roots.append(-coeffs[0] / coeffs[1])
-        return sorted(set(roots))
-    sqfree = _squarefree_coeffs(coeffs)
-    ints = _clear_denominators(sqfree)
+        return []
+    t = T_VARS[0]
+    sqfree = squarefree_part(from_univariate(coeffs, T_VARS, t))
+    ints = _clear_denominators(to_univariate(sqfree, t))
     lead = ints[-1]
-    with mpmath.workdps(60):
-        numeric = mpmath.polyroots(
-            [mpmath.mpf(c) for c in reversed(ints)], maxsteps=200, extraprec=200
-        )
-        for z in numeric:
-            if abs(mpmath.im(z)) > mpmath.mpf("1e-20"):
-                continue
-            scaled = mpmath.re(z) * lead
-            candidate = Fraction(int(mpmath.nint(scaled)), lead)
-            if not eval_coeffs(coeffs, candidate):
-                continue_flag = candidate in roots
-                if not continue_flag:
-                    roots.append(candidate)
-    return sorted(set(roots))
+    # |lead * r| < |lead| + max |a_i| (Cauchy), so residues mod a modulus
+    # above twice that bound determine lead * r.
+    bound = 2 * (abs(lead) + max(abs(c) for c in ints[:-1]))
+    p, residues = _simple_roots_mod_p(ints)
+    deriv = derivative(ints)
+    roots = []
+    for r in residues:
+        m = p
+        while m <= bound:
+            m *= m
+            r = (r - _eval_mod(ints, r, m) * pow(_eval_mod(deriv, r, m), -1, m)) % m
+        n = lead * r % m
+        if n > m // 2:
+            n -= m
+        candidate = Fraction(n, lead)
+        if not eval_coeffs(coeffs, candidate):
+            roots.append(candidate)
+    return sorted(roots)

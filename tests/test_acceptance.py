@@ -26,6 +26,7 @@ from triplecover.etamap import (
 )
 from triplecover.polyparse import parse_poly, print_poly
 from triplecover.polyring import (
+    CHART_PERMS,
     MPoly,
     T_VARS,
     U_VARS,
@@ -46,8 +47,6 @@ FERMAT = TernaryCubic((1, 0, 0, 0, 0, 0, 1, 0, 0, 1))
 x0 = MPoly.variable(X_VARS, "x0")
 x1 = MPoly.variable(X_VARS, "x1")
 x2 = MPoly.variable(X_VARS, "x2")
-
-_CHART_PERMS = {0: (0, 1, 2), 1: (1, 0, 2), 2: (2, 1, 0)}
 
 
 def report(name, ok, elapsed, budget):
@@ -143,11 +142,11 @@ def test_acceptance_4_six_total_branch_points():
     ok = ok and (Fraction(1), Fraction(0), Fraction(1)) in points
     for point, _ in locus.rational_points:
         pivot = next(i for i, c in enumerate(point) if c)
-        rotated = pair.permuted(_CHART_PERMS[pivot])
+        rotated = pair.permuted(CHART_PERMS[pivot])
         cov = build_cover(rotated)
         moved = [None] * 3
         for i, c in enumerate(point):
-            moved[_CHART_PERMS[pivot][i]] = c
+            moved[CHART_PERMS[pivot][i]] = c
         chart = (moved[1] / moved[0], moved[2] / moved[0])
         ok = ok and is_total_branch_point(cov, chart).status == "total"
     report("4 six total branch points", ok, time.time() - start, 5)

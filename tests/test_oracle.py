@@ -1,0 +1,185 @@
+"""Differential tests of the exact kernel against sympy as an oracle."""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from triplecover.etamap import linear_factor  # noqa: E402
+from triplecover.polyring import (  # noqa: E402
+    MPoly,
+    U_VARS,
+    V_VARS,
+    gcd,
+    resultant,
+    squarefree_decomposition,
+)
+from triplecover.univar import rational_roots  # noqa: E402
+
+GENS = {name: sympy.Symbol(name) for name in U_VARS + V_VARS + ("x",)}
+
+
+def to_sympy(p: MPoly):
+    gens = [GENS[v] for v in p.vars]
+    terms = {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()}
+    return sympy.Poly.from_dict(terms, *gens, domain="QQ")
+
+
+def proportional(p: MPoly, q):
+    """Is the MPoly p a nonzero rational multiple of the sympy Poly q?"""
+    mine = to_sympy(p)
+    return mine.monic() == sympy.Poly(q, *mine.gens, domain="QQ").monic()
+
+
+def random_form(rng, vars, deg, span=3):
+    return MPoly(vars, {
+        e: rng.randint(-span, span)
+        for e in itertools.product(range(deg + 1), repeat=len(vars))
+        if sum(e) == deg
+    })
+
+
+def random_poly(rng, vars=U_VARS, deg=3, span=4):
+    return MPoly(vars, {
+        e: rng.randint(-span, span)
+        for e in itertools.product(range(deg + 1), repeat=len(vars))
+        if sum(e) <= deg and rng.random() < 0.6
+    })
+
+
+def times_root(coeffs, r):
+    """Ascending coefficients of (x - r) times the given polynomial."""
+    return [(coeffs[i - 1] if i else 0) - r * (coeffs[i] if i < len(coeffs) else 0)
+            for i in range(len(coeffs) + 1)]
+
+
+def nonzero(make):
+    while True:
+        p = make()
+        if not p.is_zero():
+            return p
+
+
+def test_gcd_matches_sympy():
+    rng = random.Random(101)
+    for _ in range(25):
+        common = nonzero(lambda: random_poly(rng, deg=2))
+        p = common * nonzero(lambda: random_poly(rng))
+        q = common * nonzero(lambda: random_poly(rng))
+        assert proportional(gcd(p, q), sympy.gcd(to_sympy(p), to_sympy(q)))
+
+
+def test_resultant_matches_sympy():
+    rng = random.Random(102)
+    for vars, var in ((U_VARS, "u2"), (V_VARS, "v2")):
+        for _ in range(10):
+            p = nonzero(lambda: random_poly(rng, vars, deg=3))
+            q = nonzero(lambda: random_poly(rng, vars, deg=2))
+            if p.degree_in(var) < 1 or q.degree_in(var) < 1:
+                continue
+            want = sympy.resultant(to_sympy(p), to_sympy(q), GENS[var])
+            got = resultant(p, q, var)
+            assert sympy.expand(to_sympy(got).as_expr() - want) == 0
+
+
+def test_squarefree_decomposition_matches_sympy():
+    rng = random.Random(103)
+    for _ in range(12):
+        p = MPoly.constant(V_VARS, rng.randint(1, 5))
+        for mult, deg in ((1, 2), (2, 2), (3, 1)):
+            if rng.random() < 0.7:
+                p = p * nonzero(lambda: random_form(rng, V_VARS, rng.randint(1, deg))) ** mult
+        if p.is_constant():
+            continue
+        dec = squarefree_decomposition(p)
+        assert dec.reassemble(V_VARS) == p
+        _, oracle = sympy.sqf_list(to_sympy(p))
+        by_mult = {m: f for f, m in oracle}
+        assert sorted(m for _, m in dec.parts) == sorted(by_mult)
+        for factor, mult in dec.parts:
+            assert proportional(factor, by_mult[mult])
+
+
+def univariate_roots_oracle(coeffs):
+    x = GENS["x"]
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(coeffs)], x, domain="QQ")
+    _, factors = poly.factor_list()
+    roots = set()
+    for f, _ in factors:
+        if f.degree() == 1:
+            a, b = f.all_coeffs()
+            r = -b / a
+            roots.add(Fraction(int(r.p), int(r.q)))
+    return sorted(roots)
+
+
+def test_rational_roots_match_sympy():
+    rng = random.Random(104)
+    for _ in range(40):
+        deg = rng.randint(1, 8)
+        coeffs = [Fraction(rng.randint(-30, 30), rng.randint(1, 4)) for _ in range(deg)]
+        coeffs.append(Fraction(rng.randint(1, 12)))
+        if rng.random() < 0.5:
+            # Plant a rational root so that most cases have some.
+            coeffs = times_root(coeffs, Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+        assert rational_roots(coeffs) == univariate_roots_oracle(coeffs)
+
+
+def _search_key(line):
+    """Where linear_factor looks first: (0, al, be) for y0 - al y1 - be y2,
+    then (1, ga) for y1 - ga y2, then (2,) for y2."""
+    c = [line.coeff_monomial(g) for g in line.gens]
+    if c[0]:
+        return (0, -c[1] / c[0], -c[2] / c[0])
+    if c[1]:
+        return (1, -c[2] / c[1])
+    return (2,)
+
+
+def test_linear_factor_matches_sympy():
+    rng = random.Random(105)
+    for _ in range(40):
+        p = MPoly.constant(V_VARS, 1)
+        deg = rng.randint(1, 6)
+        while deg:
+            d = rng.randint(1, min(deg, 3))
+            deg -= d
+            f = nonzero(lambda: random_form(rng, V_VARS, d))
+            if d == 1 and rng.random() < 0.4:
+                f = nonzero(lambda: MPoly(V_VARS, {
+                    e: c for e, c in random_form(rng, V_VARS, 1).terms.items()
+                    if e[0] == 0 or rng.random() < 0.3}))
+            p = p * f
+        _, factors = sympy.factor_list(to_sympy(p))
+        lines = [f for f, _ in factors if f.total_degree() == 1]
+        got = linear_factor(p)
+        if not lines:
+            assert got is None
+            continue
+        assert got is not None and got.total_degree() == 1
+        assert any(proportional(got, f) for f in lines)
+        assert _search_key(to_sympy(got)) == min(_search_key(f) for f in lines)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    roots=st.lists(st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                                max_denominator=10 ** 4), min_size=1, max_size=5),
+    repeats=st.lists(st.integers(0, 3), min_size=5, max_size=5),
+    scale=st.fractions(min_value=Fraction(1, 100), max_value=100).filter(bool),
+    free=st.integers(1, 50),
+)
+def test_rational_roots_finds_planted(roots, repeats, scale, free):
+    # scale * (x^2 + free) * prod (x - r)^(1 + repeat): the planted roots
+    # and nothing else, since x^2 + free has no real roots.
+    coeffs = [scale * free, Fraction(0), scale]
+    for r, extra in zip(roots, repeats):
+        for _ in range(1 + extra):
+            coeffs = times_root(coeffs, r)
+    assert rational_roots(coeffs) == sorted(set(roots))

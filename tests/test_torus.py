@@ -9,6 +9,7 @@ import pytest
 from triplecover.cover import derived_invariants, is_total_branch_point
 from triplecover.errors import CommonComponent, DegenerateTorus, TripleCoverError
 from triplecover.polyring import (
+    CHART_PERMS,
     MPoly,
     X_VARS,
     divides,
@@ -239,15 +240,14 @@ def test_total_branch_points_fixture():
 
 
 def test_total_branch_points_all_total_after_rotation():
-    perms = {0: (0, 1, 2), 1: (1, 0, 2), 2: (2, 1, 0)}
     locus = total_branch_points(ACCEPT_PAIR)
     for point, _ in locus.rational_points:
         pivot = next(i for i, c in enumerate(point) if c)
-        rotated = ACCEPT_PAIR.permuted(perms[pivot])
+        rotated = ACCEPT_PAIR.permuted(CHART_PERMS[pivot])
         cov = build_cover(rotated)
         moved = [None] * 3
         for i, c in enumerate(point):
-            moved[perms[pivot][i]] = c
+            moved[CHART_PERMS[pivot][i]] = c
         chart = (moved[1] / moved[0], moved[2] / moved[0])
         assert is_total_branch_point(cov, chart).status == "total"
 

@@ -1,13 +1,18 @@
 """Tests for univariate conversion, interpolation and rational roots."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from triplecover.errors import TripleCoverError
 from triplecover.polyring import MPoly, T_VARS, U_VARS
 from triplecover.univar import (
+    _simple_roots_mod_p,
     eval_coeffs,
     from_univariate,
     interpolate,
@@ -16,6 +21,18 @@ from triplecover.univar import (
 )
 
 t = MPoly.variable(T_VARS, "t")
+
+
+def planted(roots, scale=1, extra=(1,)):
+    """Ascending coefficients of scale * extra * prod (x - r)."""
+    coeffs = [Fraction(c) * scale for c in extra]
+    for r in roots:
+        nxt = [Fraction(0)] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            nxt[i + 1] += c
+            nxt[i] -= c * r
+        coeffs = nxt
+    return coeffs
 
 
 def test_to_univariate_round_trip():
@@ -64,12 +81,25 @@ def test_rational_roots_integer():
     # (x - 2)(x + 3) = x^2 + x - 6
     roots = rational_roots([Fraction(-6), Fraction(1), Fraction(1)])
     assert roots == [Fraction(-3), Fraction(2)]
+    # Roots that collide mod 3, and a leading coefficient divisible by 3 and 5.
+    roots = [Fraction(1), Fraction(4), Fraction(7)]
+    assert rational_roots(planted(roots)) == roots
+    assert rational_roots(planted(roots, scale=15)) == roots
 
 
 def test_rational_roots_fractional():
     # (2x - 1)(3x + 5)
     roots = rational_roots([Fraction(-5), Fraction(7), Fraction(6)])
     assert set(roots) == {Fraction(1, 2), Fraction(-5, 3)}
+    # 40-digit numerators and denominators.
+    big = [Fraction(10 ** 39 + 7, 10 ** 40 - 3), Fraction(-(3 ** 84), 2 ** 130 + 1)]
+    assert rational_roots(planted(big, extra=(1, 0, 1))) == sorted(big)
+    # Nearly coincident roots 10^-30 + k 10^-45 next to x^2 + 1.
+    near = [Fraction(1, 10 ** 30) + k * Fraction(1, 10 ** 45) for k in range(3)]
+    assert rational_roots(planted(near, extra=(1, 0, 1))) == near
+    # Leading coefficient 15 = 3 * 5.
+    roots = [Fraction(1, 3), Fraction(2, 5), Fraction(7)]
+    assert rational_roots(planted(roots, scale=15)) == roots
 
 
 def test_rational_roots_with_zero_root():
@@ -87,6 +117,9 @@ def test_rational_roots_repeated():
     # (x - 1)^3
     roots = rational_roots([Fraction(-1), Fraction(3), Fraction(-3), Fraction(1)])
     assert roots == [Fraction(1)]
+    # A double root next to a simple one: (x - 2)^2 (x - 2 - 1/10^6).
+    near = Fraction(2) + Fraction(1, 10 ** 6)
+    assert rational_roots(planted([2, 2, near])) == [Fraction(2), near]
 
 
 def test_rational_roots_zero_polynomial_rejected():
@@ -97,15 +130,32 @@ def test_rational_roots_zero_polynomial_rejected():
 def test_rational_roots_random_products():
     rng = random.Random(21)
     for _ in range(50):
-        planted = sorted(
+        roots = sorted(
             {Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(3)}
         )
-        coeffs = [Fraction(1)]
-        for r in planted:
-            # multiply by (x - r)
-            nxt = [Fraction(0)] * (len(coeffs) + 1)
-            for i, c in enumerate(coeffs):
-                nxt[i + 1] += c
-                nxt[i] -= c * r
-            coeffs = nxt
-        assert rational_roots(coeffs) == planted
+        assert rational_roots(planted(roots)) == roots
+
+
+def test_rational_roots_skip_bad_primes():
+    # The roots 1, 4, 7 collide mod 3, so the lifting prime is 5.
+    assert _simple_roots_mod_p([-28, 39, -12, 1])[0] == 5
+    # Leading coefficient 15 = 3 * 5: the prime is 7.
+    coeffs = planted([Fraction(1, 3), Fraction(2, 5), Fraction(7)], scale=15)
+    assert _simple_roots_mod_p([int(c) for c in coeffs])[0] == 7
+
+
+def test_classify_without_mpmath():
+    # The package needs no third-party module: block mpmath and classify.
+    code = (
+        "import sys; sys.modules['mpmath'] = None\n"
+        "from triplecover import CoverSpec, TernaryCubic, classify\n"
+        "f = TernaryCubic((1, 0, 0, 0, 0, 0, 1, 0, 0, 1))\n"
+        "print(classify(CoverSpec.flag(f)).case)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "FlagBundle"
