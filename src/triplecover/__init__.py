@@ -33,6 +33,7 @@ from .cover import (
     multiplication_table,
     resolvent_cubic,
     restrict_to_line,
+    split_branch,
 )
 from .errors import (
     CommonComponent,

@@ -17,9 +17,7 @@ from .cover import AffineCoverData, BranchDecomposition
 from .errors import (
     DegenerateCover,
     DegenerateCubic,
-    IndeterminateCount,
     LemmaViolation,
-    MultiplicityTooHigh,
     TripleCoverError,
 )
 from .polyring import (
@@ -30,6 +28,7 @@ from .polyring import (
     X_VARS,
     dehomogenize,
     divides,
+    gcd,
     homogenize,
     repeated_part,
     squarefree_part,
@@ -259,9 +258,7 @@ def _classify_flag(f: etamap.TernaryCubic) -> ClassificationReport:
     report.certificates["smooth"] = True
     report.certificates["lambda"] = cert.lam
     # The smoothness test found the form squarefree: S = form, T = 1.
-    report.decomposition = BranchDecomposition(
-        branch, MPoly.constant(X_VARS, 1), form.leading_coefficient(), form
-    )
+    report.decomposition = cover_mod.split_branch(form, 1)
     locus = etamap.total_branch_locus(f)
     report.total_branch = {
         "count": locus.count,
@@ -326,12 +323,14 @@ def _classify_torus(pair: torus.TorusPair) -> ClassificationReport:
                     )
                 )
         return report
+    # Conditions (2) and (3) fix the double part T of the branch sextic
+    # delta = G2^3 + G3^2.  If E divides G2 and G3, then E divides G3 once
+    # by (2), so v_E(G3^2) = 2 < 3 <= v_E(G2^3) and v_E(delta) = 2.  If
+    # E^2 divides delta, then E divides G2 by (3), hence E divides G3.  So
+    # T = gcd(G2, G3) (monic and squarefree) and S = delta / T^2.
     cov = torus.build_cover(pair)
-    chart_branch = cover_mod.derived_invariants(cov).D
-    try:
-        report.decomposition = cover_mod.branch_decomposition(chart_branch)
-    except (MultiplicityTooHigh, DegenerateCover, TripleCoverError) as exc:
-        report.notes.append("branch decomposition failed: %s" % exc)
+    form = homogenize(cover_mod.derived_invariants(cov).D, 6, X_VARS)
+    report.decomposition = cover_mod.split_branch(form, gcd(pair.G2, pair.G3))
     report.certificates["surface"] = torus.cubic_surface_form(pair)
     try:
         locus = torus.total_branch_points(pair)
@@ -342,7 +341,7 @@ def _classify_torus(pair: torus.TorusPair) -> ClassificationReport:
                 (p, m) for p, m in locus.rational_points
             ),
         }
-    except (IndeterminateCount, TripleCoverError) as exc:
+    except TripleCoverError as exc:
         report.notes.append("total branch point search failed: %s" % exc)
     return report
 
@@ -373,7 +372,7 @@ def _classify_raw(cov: AffineCoverData) -> ClassificationReport:
         if D.total_degree() <= 6 else None
     try:
         report.decomposition = cover_mod.branch_decomposition(D)
-    except (MultiplicityTooHigh, DegenerateCover, TripleCoverError) as exc:
+    except TripleCoverError as exc:
         report.notes.append("branch decomposition failed: %s" % exc)
     probes = []
     for point in ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)),

@@ -19,6 +19,7 @@ from .polyring import (
     T_VARS,
     UZW_VARS,
     X_VARS,
+    exact_divide,
     homogenize,
     squarefree_decomposition,
 )
@@ -165,6 +166,17 @@ def resolvent_cubic(cov: AffineCoverData, coordinate: str = "z") -> ResolventCub
     return ResolventCubic(coordinate, quad, const)
 
 
+def split_branch(form: MPoly, T) -> BranchDecomposition:
+    """The decomposition of a degree-6 form with the given total part T.
+
+    T is monic and squarefree and T^2 divides form; S is the monic quotient
+    form / T^2 and the unit its leading coefficient.
+    """
+    T = form._lift(T)
+    S = exact_divide(T * T, form)
+    return BranchDecomposition(S.monic(), T, S.leading_coefficient(), form)
+
+
 def branch_decomposition(D: MPoly) -> BranchDecomposition:
     """Split the chart branch polynomial into unit * S * T^2 of degree 6."""
     if D.is_zero():
@@ -174,19 +186,15 @@ def branch_decomposition(D: MPoly) -> BranchDecomposition:
             "branch polynomial has chart degree %d > 6" % D.total_degree()
         )
     form = homogenize(D, 6, X_VARS)
-    decomposition = squarefree_decomposition(form)
-    S = MPoly.constant(X_VARS, 1)
     T = MPoly.constant(X_VARS, 1)
-    for factor, mult in decomposition.parts:
-        if mult == 1:
-            S = S * factor
-        elif mult == 2:
+    for factor, mult in squarefree_decomposition(form).parts:
+        if mult == 2:
             T = T * factor
-        else:
+        elif mult > 2:
             raise MultiplicityTooHigh(
                 "branch factor %r has multiplicity %d" % (factor, mult)
             )
-    return BranchDecomposition(S, T, decomposition.unit, form)
+    return split_branch(form, T)
 
 
 def restrict_to_line(cov: AffineCoverData, line) -> LineRestriction:

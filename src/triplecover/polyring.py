@@ -173,7 +173,7 @@ class MPoly:
         lc = self.leading_coefficient()
         if lc == 1:
             return self
-        return self * Fraction(1, 1) / lc
+        return self / lc
 
     # -- arithmetic --------------------------------------------------------
 
@@ -460,13 +460,13 @@ def dehomogenize(p: MPoly, chart_vars=U_VARS) -> MPoly:
 # ---------------------------------------------------------------------------
 # Linear changes and projection centers
 
-# Projection centers (a, b, 1) on the grid 0 <= a, b < 19, nearest first.  A
-# nonzero form of degree d vanishes at no more than 19 d of these 361 points
+# Projection centers (a, b, 1) on the grid 0 <= a, b < 21, nearest first.  A
+# nonzero form of degree d vanishes at no more than 21 d of these 441 points
 # (Schwartz-Zippel), so a projection that fails only for centers on a curve
-# of degree d < 19 succeeds at one of them.
+# of degree d < 21 succeeds at one of them.
 PROJECTION_CENTERS = tuple(
     (a, b, 1)
-    for a, b in sorted(itertools.product(range(19), repeat=2),
+    for a, b in sorted(itertools.product(range(21), repeat=2),
                        key=lambda c: (max(c), c))
 )
 

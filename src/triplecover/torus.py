@@ -27,7 +27,7 @@ from .polyring import (
     resultant,
     squarefree_part,
 )
-from .univar import derivative, eval_coeffs, rational_roots, to_univariate
+from .univar import derivative, eval_coeffs, rational_roots
 
 
 @dataclass(frozen=True)
@@ -180,11 +180,15 @@ class IntersectionLocus:
 def total_branch_points(pair: TorusPair) -> IntersectionLocus:
     """Intersection of the conic G2 = 0 and the cubic G3 = 0.
 
-    Projects from the first of ``PROJECTION_CENTERS`` off both curves, so
-    the resultant in x2 has the full Bezout degree 6 (the curves have degree
-    5 together, so one center is off both); rational intersection points are
-    recovered exactly and reported with the multiplicity of their eliminant
-    root.
+    Projects from the first of ``PROJECTION_CENTERS`` that lies off both
+    curves and at which every rational direction (a rational root of the
+    resultant in x2) holds a single intersection point, which is then
+    rational.  The multiplicity of a direction's eliminant root is the sum
+    of the intersection multiplicities of the points on it (the projection
+    proof of Bezout's theorem), so here it is that of the one point.  The
+    centers that fail lie on G2, on G3 or on one of the at most 15 lines
+    through two of the 6 points: a curve of degree at most 20, which misses
+    one of the centers.
     """
     if pair.G2.is_zero() or pair.G3.is_zero():
         raise CommonComponent("a zero form has no finite intersection")
@@ -198,9 +202,9 @@ def total_branch_points(pair: TorusPair) -> IntersectionLocus:
         lead3 = g3.terms.get((0, 0, 3))
         if not lead2 or not lead3:
             continue
-        res = resultant(g2, g3, "x2")  # homogeneous of degree 6 in (x0, x1)
-        if res.is_zero():
-            continue
+        # Constant leading coefficients in x2 and no common component: the
+        # resultant is a nonzero binary sextic in (x0, x1).
+        res = resultant(g2, g3, "x2")
         # res = sum_k c_k x0^(6-k) x1^k; directions with x0 != 0 are roots
         # of sum c_k t^k with t = x1/x0, and (0 : 1) has multiplicity
         # 6 - deg_t when the x1^6 coefficient vanishes.
@@ -214,15 +218,17 @@ def total_branch_points(pair: TorusPair) -> IntersectionLocus:
             directions.append(((Fraction(0), Fraction(1)), 6 - t_deg))
         points = []
         for (x0v, x1v), mult in directions:
-            lifted, single = _lift_direction(g2, g3, x0v, x1v)
-            for x2v in lifted:
-                original = _apply_matrix(m, (x0v, x1v, x2v))
-                points.append((_normalize_point(original), mult if single else 1))
-        return IntersectionLocus(
-            count_with_multiplicity=6,
-            rational_points=tuple(sorted(points)),
-            eliminants={"resultant_x2": res, "matrix": m},
-        )
+            x2v = _lift_direction(g2, g3, x0v, x1v)
+            if x2v is None:
+                break
+            original = _apply_matrix(m, (x0v, x1v, x2v))
+            points.append((_normalize_point(original), mult))
+        else:
+            return IntersectionLocus(
+                count_with_multiplicity=6,
+                rational_points=tuple(sorted(points)),
+                eliminants={"resultant_x2": res, "matrix": m},
+            )
     raise IndeterminateCount("no usable projection center found")
 
 
@@ -237,33 +243,14 @@ def _root_multiplicity(coeffs, root):
 
 
 def _lift_direction(g2, g3, x0v, x1v):
-    """Rational x2 values above a direction; flags single-point fibers.
-
-    Returns (roots, single) where ``single`` says the direction carries
-    exactly one intersection point, so the eliminant-root multiplicity is
-    that point's intersection multiplicity.
-    """
-    fibers = []
-    for g in (g2, g3):
-        spec = g.substitute(
-            {"x0": x0v, "x1": x1v, "x2": MPoly.variable(X_VARS, "x2")}, X_VARS
-        )
-        fibers.append(spec)
-    nz = [s for s in fibers if not s.is_zero()]
-    if not nz:
-        return [], False
-    common = nz[0]
-    for s in nz[1:]:
-        common = gcd(common, s)
-    if common.is_constant():
-        return [], False
-    roots = rational_roots(to_univariate(common, "x2"))
-    verified = [
-        r for r in roots
-        if all(not s.evaluate({"x0": x0v, "x1": x1v, "x2": r}) for s in fibers)
-    ]
-    single = squarefree_part(common).total_degree() == 1 and len(nz) == 2
-    return verified, single
+    """The x2 of the one intersection point above a direction, or None
+    when the direction holds more than one point."""
+    at = {"x0": x0v, "x1": x1v, "x2": MPoly.variable(X_VARS, "x2")}
+    common = gcd(g2.substitute(at, X_VARS), g3.substitute(at, X_VARS))
+    line = squarefree_part(common)  # monic x2 - r when there is one point
+    if line.total_degree() != 1:
+        return None
+    return -line.terms.get((0, 0, 0), Fraction(0))
 
 
 def _apply_matrix(m, point):

@@ -15,10 +15,11 @@ from triplecover.classify import (
     classify,
     cross_validate,
 )
-from triplecover.cover import AffineCoverData
+from triplecover import polyring
+from triplecover.cover import AffineCoverData, branch_decomposition, derived_invariants
 from triplecover.errors import DegenerateCover, DegenerateCubic
 from triplecover.etamap import TernaryCubic, eta
-from triplecover.polyring import MPoly, U_VARS, V_VARS, X_VARS
+from triplecover.polyring import MPoly, U_VARS, V_VARS, X_VARS, gcd
 from triplecover.torus import TorusPair, build_cover
 
 FERMAT = TernaryCubic((1, 0, 0, 0, 0, 0, 1, 0, 0, 1))
@@ -120,6 +121,49 @@ def test_classify_torus_pair():
     assert report.branch_form == pair.delta().monic()
     assert report.total_branch["count"] == 6
     assert report.certificates["conditions"].all_hold()
+    assert cross_validate(report) == []
+
+
+def _sextics_factored(monkeypatch, spec):
+    """The degree-6 forms in (x0, x1, x2) whose gradient gcd ``classify``
+    takes: each is one pass of repeated-factor work on a branch sextic."""
+    seen = []
+    inner = polyring._gradient_gcd
+
+    def recording(p):
+        seen.append(p)
+        return inner(p)
+
+    monkeypatch.setattr(polyring, "_gradient_gcd", recording)
+    classify(spec)
+    return [p for p in seen
+            if p.vars == X_VARS and p.is_homogeneous() and p.total_degree() == 6]
+
+
+def test_classify_factors_branch_sextic_once(monkeypatch):
+    torus_spec = CoverSpec.torus(TorusPair(x0 * x1, x2 ** 3 - x0 ** 3))
+    assert len(_sextics_factored(monkeypatch, torus_spec)) == 1
+    assert len(_sextics_factored(monkeypatch, CoverSpec.flag(FERMAT))) == 1
+
+
+@pytest.mark.parametrize("E, l, q", [
+    (x0, x1, x2 ** 2 + x0 * x1),
+    (x0 + x2, x1 - x2, x1 ** 2 + x0 * x2),
+    (x0 - x1, x2, x0 ** 2 + x1 * x2 - x2 ** 2),
+    (x0, x0, x1 * x2),
+    (x0 * x1 + x2 ** 2, 1, x0 + x2),
+])
+def test_classify_torus_total_part_is_common_factor(E, l, q):
+    """With (2) and (3), T = gcd(G2, G3) and S = delta / T^2."""
+    pair = TorusPair(E * l, E * q)
+    report = classify(CoverSpec.torus(pair))
+    assert report.case == CASE_CUBIC_SURFACE
+    split = report.decomposition
+    assert split.T == gcd(pair.G2, pair.G3)
+    assert not split.T.is_constant()
+    yun = branch_decomposition(derived_invariants(build_cover(pair)).D)
+    assert (split.S, split.T, split.unit, split.degree6_form) == \
+        (yun.S, yun.T, yun.unit, yun.degree6_form)
     assert cross_validate(report) == []
 
 

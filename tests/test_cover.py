@@ -15,6 +15,7 @@ from triplecover.cover import (
     multiplication_table,
     resolvent_cubic,
     restrict_to_line,
+    split_branch,
 )
 from triplecover.errors import DegenerateCover, MultiplicityTooHigh, TripleCoverError
 from triplecover.polyring import (
@@ -160,6 +161,20 @@ def test_branch_decomposition_rejects_zero():
 def test_branch_decomposition_rejects_high_multiplicity():
     with pytest.raises(MultiplicityTooHigh):
         branch_decomposition((u1 + u2) ** 3 * (u1 - 1))
+
+
+def test_split_branch():
+    x0 = MPoly.variable(X_VARS, "x0")
+    x1 = MPoly.variable(X_VARS, "x1")
+    x2 = MPoly.variable(X_VARS, "x2")
+    T = x1 + x2
+    form = -3 * T ** 2 * (x0 ** 4 - x1 * x2 ** 3)
+    dec = split_branch(form, T)
+    assert (dec.S, dec.T, dec.unit) == (x0 ** 4 - x1 * x2 ** 3, T, -3)
+    assert dec.degree6_form == form
+    assert split_branch(form, 1).S == form.monic()
+    with pytest.raises(TripleCoverError):
+        split_branch(form, x0)
 
 
 def test_restrict_to_line():

@@ -272,4 +272,57 @@ def test_total_branch_points_on_curve_vanish():
             assert pair.G2.evaluate(at) == 0
             assert pair.G3.evaluate(at) == 0
             seen += 1
-    assert seen >= 0
+    assert seen >= 1
+
+
+def _multiplicities_in_chart(pair, perm):
+    """Rational points and multiplicities of the pair in the chart that
+    ``perm`` moves to x0 != 0, mapped back to the pair's coordinates."""
+    locus = total_branch_points(pair.permuted(perm))
+    back = {}
+    for point, mult in locus.rational_points:
+        moved = [None] * 3
+        for i, c in enumerate(point):
+            moved[perm[i]] = c
+        pivot = next(c for c in moved if c)
+        back[tuple(c / pivot for c in moved)] = mult
+    return back
+
+
+@pytest.mark.parametrize("perm", CHART_PERMS)
+def test_total_branch_multiplicities_independent_of_chart(perm):
+    """(1 : 0 : 0) shares a direction with (1 : 0 : 1) from some centers;
+    its multiplicity 2 must not depend on the chart."""
+    pair = TorusPair(x1 * x0 - x2 ** 2 + x2 * x0,
+                     x1 * x2 * x0 + x2 ** 3 - x2 ** 2 * x0)
+    F = Fraction
+    assert _multiplicities_in_chart(pair, perm) == {
+        (F(0), F(1), F(0)): 3,
+        (F(1), F(0), F(0)): 2,
+        (F(1), F(0), F(1)): 1,
+    }
+
+
+def test_total_branch_multiplicities_of_line_arrangements():
+    """G2 and G3 products of lines: all six points are rational, so their
+    multiplicities sum to 6, in every chart alike."""
+    rng = random.Random(5)
+    checked = 0
+    while checked < 20:
+        pair = TorusPair(_product_of_lines(rng, 2), _product_of_lines(rng, 3))
+        if not gcd(pair.G2, pair.G3).is_constant():
+            continue
+        charts = [_multiplicities_in_chart(pair, perm) for perm in CHART_PERMS]
+        assert sum(charts[0].values()) == 6
+        assert charts[0] == charts[1] == charts[2]
+        checked += 1
+
+
+def _product_of_lines(rng, count):
+    p = MPoly.constant(X_VARS, 1)
+    while count:
+        c = [rng.randint(-2, 2) for _ in range(3)]
+        if any(c):
+            p = p * (c[0] * x0 + c[1] * x1 + c[2] * x2)
+            count -= 1
+    return p
