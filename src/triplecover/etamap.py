@@ -30,8 +30,8 @@ from .polyring import (
     center_matrix,
     dehomogenize,
     divides,
-    gcd,
     homogenize,
+    lift_direction,
     linear_change,
     repeated_part,
     resultant,
@@ -258,14 +258,6 @@ def _hessian(fp: MPoly) -> MPoly:
     )
 
 
-def _common_point_on_line(g: MPoly, h: MPoly, w0, w1):
-    """The point (w0 : w1 : w2) of g = h = 0 when it is the only one on the
-    line through (0 : 0 : 1) and is simple, so the gcd there is v2 - w2."""
-    at = {"v0": w0, "v1": w1, "v2": MPoly.variable(V_VARS, "v2")}
-    common = gcd(g.substitute(at, V_VARS), h.substitute(at, V_VARS))
-    return (w0, w1, -common.terms.get((0, 0, 0), Fraction(0)))
-
-
 def total_branch_locus(f: TernaryCubic) -> TotalBranchLocus:
     """The nine cusps of the dual sextic of a smooth cubic f.
 
@@ -310,7 +302,7 @@ def total_branch_locus(f: TernaryCubic) -> TotalBranchLocus:
     gradient = [fp.partial_derivative(v) for v in V_VARS]
     cusps = []
     for w0, w1 in directions:
-        w = _common_point_on_line(g, h, w0, w1)
+        w = (w0, w1, lift_direction(g, h, w0, w1))
         flex = {v: sum(m[i][j] * w[j] for j in range(3)) for i, v in enumerate(V_VARS)}
         cusp = [d.evaluate(flex) for d in gradient]
         pivot = next(c for c in cusp if c)

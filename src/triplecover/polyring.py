@@ -481,6 +481,18 @@ def center_matrix(center):
     return ((1, 0, a), (0, 1, b), (0, 0, 1))
 
 
+def lift_direction(g: MPoly, h: MPoly, w0, w1):
+    """The w2 of the one common point (w0 : w1 : w2) of the ternary forms
+    g = h = 0 on the line through (0 : 0 : 1) and (w0 : w1 : 0), or None
+    when the squarefree gcd of g and h on that line is not linear."""
+    x = g.vars
+    at = {x[0]: w0, x[1]: w1, x[2]: MPoly.variable(x, x[2])}
+    line = squarefree_part(gcd(g.substitute(at, x), h.substitute(at, x)))
+    if line.total_degree() != 1:
+        return None
+    return -line.terms.get((0, 0, 0), Fraction(0))
+
+
 def linear_change(p: MPoly, matrix) -> MPoly:
     """p(M * vars): substitute each variable by a row combination."""
     vars = p.vars
@@ -555,17 +567,25 @@ def _content_and_primitive(p: MPoly, var):
 
 
 def _pseudo_remainder(p: MPoly, q: MPoly, var) -> MPoly:
-    """prem(p, q) w.r.t. var: lc(q)^(dp-dq+1) * p mod q."""
+    """prem(p, q) w.r.t. var: lc(q)^(dp-dq+1) * p mod q.
+
+    A step that cancels more than one degree uses up fewer than dp-dq+1
+    factors of lc(q); the missing ones are multiplied in at the end, so the
+    value is exact (the subresultant sequence of ``resultant`` needs it).
+    """
     dq = q.degree_in(var)
     lc_q = q.coefficients_in(var)[dq]
     v = MPoly.variable(p.vars, var)
-    r = p
-    while True:
-        dr = r.degree_in(var)
-        if r.is_zero() or dr < dq:
-            return r
+    r, dr = p, p.degree_in(var)
+    missing = max(dr - dq + 1, 0)
+    while dr >= dq:  # the zero polynomial has degree -1
         lc_r = r.coefficients_in(var)[dr]
         r = r * lc_q - q * lc_r * v ** (dr - dq)
+        missing -= 1
+        dr = r.degree_in(var)
+    if r.is_zero() or not missing:
+        return r
+    return r * lc_q ** missing
 
 
 def _gcd_inner(p: MPoly, q: MPoly) -> MPoly:
@@ -614,99 +634,17 @@ def gcd(p: MPoly, q: MPoly) -> MPoly:
 
 
 # ---------------------------------------------------------------------------
-# Resultants (Sylvester determinant)
-
-
-def _det_bareiss(matrix):
-    """Fraction-free determinant of a square MPoly matrix (Bareiss)."""
-    n = len(matrix)
-    if n == 0:
-        raise ValueError("empty matrix")
-    vars = matrix[0][0].vars
-    m = [row[:] for row in matrix]
-    sign = 1
-    prev = MPoly.constant(vars, 1)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot_row = next(
-                (i for i in range(k + 1, n) if not m[i][k].is_zero()), None
-            )
-            if pivot_row is None:
-                return MPoly.zero(vars)
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = exact_divide(prev, num)
-            m[i][k] = MPoly.zero(vars)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
-def _det_scalar(matrix):
-    """Determinant of a Fraction matrix by fraction-free elimination."""
-    n = len(matrix)
-    m = [row[:] for row in matrix]
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if not m[k][k]:
-            pivot_row = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if pivot_row is None:
-                return Fraction(0)
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = Fraction(0)
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def _sylvester_matrix(p: MPoly, q: MPoly, var):
-    dp, dq = p.degree_in(var), q.degree_in(var)
-    vars = p.vars
-    zero = MPoly.zero(vars)
-    pc = p.coefficients_in(var)
-    qc = q.coefficients_in(var)
-    p_row = [pc.get(d, zero) for d in range(dp, -1, -1)]
-    q_row = [qc.get(d, zero) for d in range(dq, -1, -1)]
-    n = dp + dq
-    matrix = []
-    for i in range(dq):
-        matrix.append([zero] * i + p_row + [zero] * (n - dp - 1 - i))
-    for i in range(dp):
-        matrix.append([zero] * i + q_row + [zero] * (n - dq - 1 - i))
-    return matrix
-
-
-def _det_univariate_interp(matrix, var):
-    """Determinant via evaluation/interpolation when entries only use var."""
-    from .univar import eval_coeffs, from_univariate, interpolate, to_univariate
-
-    vars = matrix[0][0].vars
-    degree_bound = sum(
-        max((e.degree_in(var) for e in row if not e.is_zero()), default=0)
-        for row in matrix
-    )
-    points = []
-    values = []
-    x = 0
-    coeff_rows = [[to_univariate(e, var) for e in row] for row in matrix]
-    while len(points) < degree_bound + 1:
-        at = Fraction(x)
-        x = -x if x > 0 else -x + 1
-        scalar = [[eval_coeffs(c, at) for c in row] for row in coeff_rows]
-        points.append(at)
-        values.append(_det_scalar(scalar))
-    return from_univariate(interpolate(points, values), vars, var)
+# Resultants (subresultant pseudo-remainder sequence)
 
 
 def resultant(p: MPoly, q: MPoly, var) -> MPoly:
-    """Resultant w.r.t. var: Sylvester determinant, p-rows above q-rows."""
+    """Resultant w.r.t. var, equal to the Sylvester determinant with the
+    p-rows above the q-rows.
+
+    Computed by the subresultant sequence on the gcd's pseudo-remainders
+    (Collins 1967; Cohen, Algorithm 3.3.7): every division is exact, and the
+    last nonzero remainder, scaled by g and h, is the resultant.
+    """
     p._check_same(q)
     if p.is_zero() or q.is_zero():
         raise DegenerateCover("resultant of a zero polynomial")
@@ -717,11 +655,28 @@ def resultant(p: MPoly, q: MPoly, var) -> MPoly:
         return q ** dp
     if dp == 0:
         return p ** dq
-    matrix = _sylvester_matrix(p, q, var)
-    remaining = (p.variables_present() | q.variables_present()) - {var}
-    if len(remaining) == 1:
-        return _det_univariate_interp(matrix, next(iter(remaining)))
-    return _det_bareiss(matrix)
+    # Res(q, p) = (-1)^(dp*dq) Res(p, q).
+    sign = -1 if dp < dq and dp % 2 and dq % 2 else 1
+    a, b = (p, q) if dp >= dq else (q, p)
+    g = h = MPoly.constant(p.vars, 1)
+    while True:
+        da, db = a.degree_in(var), b.degree_in(var)
+        delta = da - db
+        if da % 2 and db % 2:
+            sign = -sign
+        r = _pseudo_remainder(a, b, var)
+        if r.is_zero():
+            return r
+        a, b = b, exact_divide(g * h ** delta, r)
+        g = a.coefficients_in(var)[db]
+        # Only the first step can have delta = 0; it leaves h alone.
+        if delta:
+            h = exact_divide(h ** (delta - 1), g ** delta)
+        if b.degree_in(var) == 0:
+            break
+    da = a.degree_in(var)
+    res = exact_divide(h ** (da - 1), b ** da)
+    return res if sign == 1 else -res
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .polyring import (
     center_matrix,
     dehomogenize,
     gcd,
+    lift_direction,
     linear_change,
     radical_divides,
     repeated_part,
@@ -218,7 +219,7 @@ def total_branch_points(pair: TorusPair) -> IntersectionLocus:
             directions.append(((Fraction(0), Fraction(1)), 6 - t_deg))
         points = []
         for (x0v, x1v), mult in directions:
-            x2v = _lift_direction(g2, g3, x0v, x1v)
+            x2v = lift_direction(g2, g3, x0v, x1v)
             if x2v is None:
                 break
             original = _apply_matrix(m, (x0v, x1v, x2v))
@@ -240,17 +241,6 @@ def _root_multiplicity(coeffs, root):
         coeffs = derivative(coeffs)
         mult += 1
     return mult
-
-
-def _lift_direction(g2, g3, x0v, x1v):
-    """The x2 of the one intersection point above a direction, or None
-    when the direction holds more than one point."""
-    at = {"x0": x0v, "x1": x1v, "x2": MPoly.variable(X_VARS, "x2")}
-    common = gcd(g2.substitute(at, X_VARS), g3.substitute(at, X_VARS))
-    line = squarefree_part(common)  # monic x2 - r when there is one point
-    if line.total_degree() != 1:
-        return None
-    return -line.terms.get((0, 0, 0), Fraction(0))
 
 
 def _apply_matrix(m, point):

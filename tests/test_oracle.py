@@ -9,19 +9,22 @@ import pytest
 sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
+from sympy.polys.subresultants_qq_zz import sylvester  # noqa: E402
 
 from triplecover.etamap import linear_factor  # noqa: E402
 from triplecover.polyring import (  # noqa: E402
     MPoly,
     U_VARS,
     V_VARS,
+    X4_VARS,
     gcd,
     resultant,
     squarefree_decomposition,
 )
 from triplecover.univar import rational_roots  # noqa: E402
 
-GENS = {name: sympy.Symbol(name) for name in U_VARS + V_VARS + ("x",)}
+GENS = {name: sympy.Symbol(name) for name in U_VARS + V_VARS + X4_VARS + ("x",)}
 
 
 def to_sympy(p: MPoly):
@@ -58,6 +61,18 @@ def times_root(coeffs, r):
             for i in range(len(coeffs) + 1)]
 
 
+def sylvester_resultant(p: MPoly, q: MPoly, var):
+    """The Sylvester determinant with the p-rows above the q-rows.
+
+    ``sympy.resultant`` is no oracle for the sign: it drops the factor
+    (-1)^(dp*dq) when deg p < deg q (sympy 1.14 gives 8 for both
+    ``resultant(x + 2, x**3)`` and ``resultant(x**3, x + 2)``).
+    """
+    matrix = DomainMatrix.from_Matrix(
+        sylvester(to_sympy(p).as_expr(), to_sympy(q).as_expr(), GENS[var], 1))
+    return matrix.domain.to_sympy(matrix.det())
+
+
 def nonzero(make):
     while True:
         p = make()
@@ -76,15 +91,36 @@ def test_gcd_matches_sympy():
 
 def test_resultant_matches_sympy():
     rng = random.Random(102)
+    cases = []
     for vars, var in ((U_VARS, "u2"), (V_VARS, "v2")):
         for _ in range(10):
             p = nonzero(lambda: random_poly(rng, vars, deg=3))
             q = nonzero(lambda: random_poly(rng, vars, deg=2))
             if p.degree_in(var) < 1 or q.degree_in(var) < 1:
                 continue
-            want = sympy.resultant(to_sympy(p), to_sympy(q), GENS[var])
-            got = resultant(p, q, var)
-            assert sympy.expand(to_sympy(got).as_expr() - want) == 0
+            cases.append((p, q, var))
+    u1, u2 = (MPoly.variable(U_VARS, v) for v in U_VARS)
+    x0, x1, x2, x3 = (MPoly.variable(X4_VARS, v) for v in X4_VARS)
+    g2 = x0 * x1 - x2 ** 2 + 2 * x1 * x2
+    g3 = x2 ** 3 - x0 ** 3 + x0 * x1 * x2
+    surface = x3 ** 3 + 3 * g2 * x3 + 2 * g3
+    cases += [
+        # q of higher degree than p, both odd: Res(q, p) = -Res(p, q).
+        (u1 * u2 + 2, u2 ** 3 - u1 * u2 + 3, "u2"),
+        # Degree gaps of 3, then 2 (u2^6 = u1^2 mod u2^3 + u1).
+        (u2 ** 6 + u1 * u2 + 1, u2 ** 3 + u1, "u2"),
+        # A remainder step that cancels two degrees at once.
+        (u2 ** 4, u1 * u2 ** 2 + 1, "u2"),
+        (u1 * u2 ** 2 + 1, u2 ** 4, "u2"),
+        # The x3-discriminant of a cubic surface x3^3 + 3 G2 x3 + 2 G3.
+        (surface, surface.partial_derivative("x3"), "x3"),
+        # A common factor: the resultant is zero.
+        ((u1 - u2) * (u2 ** 2 + u1), (u1 - u2) * (u2 + 3), "u2"),
+    ]
+    for p, q, var in cases:
+        want = sylvester_resultant(p, q, var)
+        got = resultant(p, q, var)
+        assert sympy.expand(to_sympy(got).as_expr() - want) == 0
 
 
 def test_squarefree_decomposition_matches_sympy():

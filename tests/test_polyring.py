@@ -1,20 +1,26 @@
 """Tests for the exact sparse polynomial kernel."""
 
+import ast
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from triplecover import polyring
 from triplecover.errors import TripleCoverError, VariableMismatchError
 from triplecover.polyring import (
     MPoly,
     U_VARS,
     X_VARS,
+    _pseudo_remainder,
     dehomogenize,
     divides,
     exact_divide,
     gcd,
     homogenize,
+    lift_direction,
     radical_divides,
     repeated_part,
     resultant,
@@ -139,6 +145,46 @@ def test_gcd_with_zero():
     p = 2 * u1 + 2
     assert gcd(p, MPoly.zero(U_VARS)) == u1 + 1
     assert gcd(MPoly.zero(U_VARS), p) == u1 + 1
+
+
+def test_pseudo_remainder_is_exact():
+    # The second step cancels two degrees of u2; u1^3 * u2^4 = u1 mod q.
+    q = u1 * u2 ** 2 + 1
+    assert _pseudo_remainder(u2 ** 4, q, "u2") == u1
+    assert _pseudo_remainder(u2 + 1, q, "u2") == u2 + 1
+
+
+def test_kernel_imports_only_errors_and_stdlib():
+    """polyring is the bottom layer.  It imports the standard library and
+    ``.errors``; the one other package import is the printer that
+    ``MPoly.__repr__`` loads when called."""
+    tree = ast.parse(Path(polyring.__file__).read_text())
+    in_repr = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "__repr__"
+        for node in ast.walk(fn)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            allowed = {"errors", "polyparse"} if id(node) in in_repr else {"errors"}
+            assert node.module in allowed, (node.lineno, node.module)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = ([node.module] if isinstance(node, ast.ImportFrom)
+                       else [a.name for a in node.names])
+            for module in modules:
+                assert module.split(".")[0] in sys.stdlib_module_names, module
+
+
+def test_lift_direction():
+    x0, x1, x2 = (MPoly.variable(X_VARS, v) for v in X_VARS)
+    g = x2 ** 2 - x0 * x1
+    # On the line (1 : 4 : w2) the conic g meets x2 - x1/2 only at w2 = 2.
+    assert lift_direction(g, 2 * x2 - x1, 1, 4) == 2
+    # x2 = +-2 both lie on g and on x2^2 - 4 x0^2: two points, no lift.
+    assert lift_direction(g, x2 ** 2 - 4 * x0 ** 2, 1, 4) is None
+    # No common point on the line.
+    assert lift_direction(g, x2 - x0, 1, 4) is None
 
 
 def test_resultant_univariate():
