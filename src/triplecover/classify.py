@@ -74,6 +74,19 @@ class ClassificationReport:
 # A2 cusp jet criterion
 
 
+def _to_chart(point):
+    """The swap ``CHART_PERMS[k]`` for the first nonzero coordinate xk of a
+    projective point, the point scaled to xk = 1, and the chart coordinates
+    (u1, u2) of the swapped point in the chart x0 != 0."""
+    point = tuple(Fraction(c) for c in point)
+    pivot = next((i for i, c in enumerate(point) if c), None)
+    if pivot is None:
+        raise TripleCoverError("zero vector is not a projective point")
+    perm = CHART_PERMS[pivot]
+    scaled = tuple(c / point[pivot] for c in point)
+    return perm, scaled, tuple(scaled[perm[j]] for j in (1, 2))
+
+
 def a2_cusp_check(branch_form: MPoly, point) -> dict:
     """Jet test for an ordinary cusp of a plane curve at a rational point.
 
@@ -82,16 +95,8 @@ def a2_cusp_check(branch_form: MPoly, point) -> dict:
     """
     if branch_form.vars != X_VARS:
         raise TripleCoverError("branch form must live in (x0, x1, x2)")
-    point = tuple(Fraction(c) for c in point)
-    pivot = next((i for i, c in enumerate(point) if c), None)
-    if pivot is None:
-        raise TripleCoverError("zero vector is not a projective point")
-    point = tuple(c / point[pivot] for c in point)
-    perm = list(range(3))
-    perm[0], perm[pivot] = perm[pivot], perm[0]
-    rotated = branch_form.permute_vars(perm)
-    chart = dehomogenize(rotated, U_VARS)
-    p = [point[i] for i in range(3) if i != pivot]
+    perm, point, p = _to_chart(point)
+    chart = dehomogenize(branch_form.permute_vars(perm), U_VARS)
     translated = chart.substitute(
         {
             "u1": MPoly.variable(U_VARS, "u1") + p[0],
@@ -288,14 +293,9 @@ def _perfect_cube_fiber(f: etamap.TernaryCubic, point) -> bool:
 
     Rotates to a chart where the point is finite before restricting.
     """
-    point = tuple(Fraction(c) for c in point)
-    pivot = next(i for i, c in enumerate(point) if c)
-    perm = CHART_PERMS[pivot]
-    fc = f if pivot == 0 else f.permuted(perm)
-    scaled = tuple(c / point[pivot] for c in point)
-    chart_pt = [scaled[i] for i in (perm.index(j) for j in (1, 2))]
-    bc = etamap.fiber_binary_cubic(fc, tuple(chart_pt))
-    return etamap.is_perfect_cube(bc)
+    perm, _, chart_pt = _to_chart(point)
+    fc = f if perm == CHART_PERMS[0] else f.permuted(perm)
+    return etamap.is_perfect_cube(etamap.fiber_binary_cubic(fc, chart_pt))
 
 
 def _classify_torus(pair: torus.TorusPair) -> ClassificationReport:

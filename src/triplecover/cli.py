@@ -1,5 +1,9 @@
 """Command line front end (the ``tck`` tool).
 
+Forms in (x0, x1, x2) and (v0, v1, v2) and the points of their loci are
+projective, and so is every verdict; only the raw data (a, b, c, d) and
+its probe point live in the chart x0 != 0.
+
 Exit codes: 0 success / positive verdict, 1 negative verdict, 2 usage
 error, 3 parse error, 4 mathematical degeneracy.
 """
@@ -35,15 +39,7 @@ from .errors import (
     TripleCoverError,
 )
 from .polyparse import ParseError, parse_poly, print_poly
-from .polyring import (
-    CHART_PERMS,
-    MPoly,
-    T_VARS,
-    U_VARS,
-    V_VARS,
-    X_VARS,
-    squarefree_part,
-)
+from .polyring import MPoly, T_VARS, U_VARS, V_VARS, X_VARS, squarefree_part
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -94,27 +90,8 @@ def _parse_point(text: str, size: int):
     return tuple(_parse_fraction(p) for p in parts)
 
 
-def _chart_perm(args):
-    return CHART_PERMS[int(args.chart[1])]
-
-
-def _rotate_form(p: MPoly, perm) -> MPoly:
-    return p if perm == (0, 1, 2) else p.permute_vars(perm)
-
-
-def _rotate_point(point, perm):
-    if perm == (0, 1, 2):
-        return point
-    out = [None, None, None]
-    for i, c in enumerate(point):
-        out[perm[i]] = c
-    return tuple(out)
-
-
-def _load_cubic(args, perm) -> etamap.TernaryCubic:
-    p = _parse(args.cubic, V_VARS)
-    cubic = etamap.TernaryCubic.from_poly(p)
-    return cubic if perm == (0, 1, 2) else cubic.permuted(perm)
+def _load_cubic(text: str) -> etamap.TernaryCubic:
+    return etamap.TernaryCubic.from_poly(_parse(text, V_VARS))
 
 
 def _load_cover(args) -> AffineCoverData:
@@ -126,10 +103,8 @@ def _load_cover(args) -> AffineCoverData:
     )
 
 
-def _load_pair(args, perm) -> torus.TorusPair:
-    g2 = _rotate_form(_parse(args.g2, X_VARS), perm)
-    g3 = _rotate_form(_parse(args.g3, X_VARS), perm)
-    return torus.TorusPair(g2, g3)
+def _load_pair(args) -> torus.TorusPair:
+    return torus.TorusPair(_parse(args.g2, X_VARS), _parse(args.g3, X_VARS))
 
 
 def _point_str(point):
@@ -142,6 +117,9 @@ def _frac_str(x) -> str:
 
 # ---------------------------------------------------------------------------
 # Report rendering
+#
+# The field renderers fill their payload keys and return their text lines,
+# so that the JSON and the text form of a field come from one place.
 
 
 def _base_payload():
@@ -166,22 +144,49 @@ def _emit(payload, args, text_lines):
             print(line)
 
 
-def _condition_payload(report: torus.ConditionReport):
-    def one(verdict):
+def _poly_fields(payload, keys, polys, labels=None):
+    """The lines 'label = poly', with each printed poly under its key."""
+    lines = []
+    for key, poly, label in zip(keys, polys, labels or keys):
+        payload[key] = print_poly(poly)
+        lines.append("%s = %s" % (label, payload[key]))
+    return lines
+
+
+def _conditions(payload, report: torus.ConditionReport):
+    """The lines 'condition cK: holds|fails', and payload["conditions"]."""
+    rendered, lines = {}, []
+    for key, verdict in (("c1", report.condition1), ("c2", report.condition2),
+                         ("c3", report.condition3)):
+        rendered[key] = None
         if verdict is None:
-            return None
-        out = {"holds": verdict.holds}
+            continue
+        out = rendered[key] = {"holds": verdict.holds}
+        line = "condition %s: %s" % (key, "holds" if verdict.holds else "fails")
         if verdict.witness is not None:
             out["witness"] = print_poly(verdict.witness)
+            line += " (witness: %s)" % out["witness"]
         if verdict.scale is not None:
             out["scale"] = _frac_str(verdict.scale)
-        return out
+        lines.append(line)
+    payload["conditions"] = rendered
+    return lines
 
-    return {
-        "c1": one(report.condition1),
-        "c2": one(report.condition2),
-        "c3": one(report.condition3),
+
+def _total_branch(payload, header, count, points, multiplicities=None):
+    """The count line and one line per rational point, and
+    payload["total_branch"]; a point's multiplicity is shown when given."""
+    payload["total_branch"] = {
+        "count": count,
+        "rational_points": [_point_str(p) for p in points],
     }
+    lines = [header % count]
+    for p in points:
+        line = "  rational point: (%s : %s : %s)" % tuple(_point_str(p))
+        if multiplicities is not None:
+            line += " multiplicity %d" % multiplicities[p]
+        lines.append(line)
+    return lines
 
 
 def emit_report(report: ClassificationReport, format: str = "text") -> str:
@@ -195,19 +200,17 @@ def emit_report(report: ClassificationReport, format: str = "text") -> str:
         payload["T"] = print_poly(report.decomposition.T)
     if "lambda" in report.certificates:
         payload["lambda"] = _frac_str(report.certificates["lambda"])
-    conditions = report.certificates.get("conditions")
-    if conditions is not None:
-        payload["conditions"] = _condition_payload(conditions)
-    if report.total_branch:
-        payload["total_branch"] = {
-            "count": report.total_branch["count"],
-            "rational_points": [
-                _point_str(p) for p in report.total_branch["rational_points"]
-            ],
-        }
     surface = report.certificates.get("surface")
     if surface is not None:
         payload["surface"] = print_poly(surface.form)
+    conditions = report.certificates.get("conditions")
+    condition_lines = [] if conditions is None else _conditions(payload, conditions)
+    branch_lines = []
+    if report.total_branch:
+        branch_lines = _total_branch(
+            payload, "total branch count: %d", report.total_branch["count"],
+            report.total_branch["rational_points"],
+        )
     cusps = report.certificates.get("cusps")
     if cusps is not None:
         described = [
@@ -229,35 +232,16 @@ def emit_report(report: ClassificationReport, format: str = "text") -> str:
         return json.dumps(payload, indent=2, sort_keys=True)
 
     lines = ["case: %s" % report.case]
-    if payload["branch"] is not None:
-        lines.append("branch: %s" % payload["branch"])
-    if payload["S"] is not None:
-        lines.append("S: %s" % payload["S"])
-        lines.append("T: %s" % payload["T"])
-    if payload["lambda"] is not None:
-        lines.append("lambda: %s" % payload["lambda"])
-    if payload.get("surface") is not None:
-        lines.append("surface: %s" % payload["surface"])
-    if conditions is not None:
-        for key in ("c1", "c2", "c3"):
-            v = payload["conditions"][key]
-            if v is None:
-                continue
-            line = "condition %s: %s" % (key, "holds" if v["holds"] else "fails")
-            if "witness" in v:
-                line += " (witness: %s)" % v["witness"]
-            lines.append(line)
-    if report.total_branch:
-        lines.append("total branch count: %d" % report.total_branch["count"])
-        for p in report.total_branch["rational_points"]:
-            lines.append("  rational point: (%s : %s : %s)" % tuple(_point_str(p)))
-    if payload.get("cusps") is not None:
-        for v in payload["cusps"]:
-            if v["rational"]:
-                lines.append(
-                    "  cusp (%s : %s : %s): a2=%s cube_fiber=%s"
-                    % (tuple(v["point"]) + (v["a2_cusp"], v["perfect_cube_fiber"]))
-                )
+    for key in ("branch", "S", "T", "lambda", "surface"):
+        if payload.get(key) is not None:
+            lines.append("%s: %s" % (key, payload[key]))
+    lines += condition_lines + branch_lines
+    for v in payload.get("cusps", ()):
+        if v["rational"]:
+            lines.append(
+                "  cusp (%s : %s : %s): a2=%s cube_fiber=%s"
+                % (tuple(v["point"]) + (v["a2_cusp"], v["perfect_cube_fiber"]))
+            )
     for v in payload["violations"]:
         lines.append("violation: %s" % v)
     for n in payload["notes"]:
@@ -272,61 +256,40 @@ def emit_report(report: ClassificationReport, format: str = "text") -> str:
 
 
 def _cmd_eta(args):
-    cubic = _load_cubic(args, _chart_perm(args))
-    cov = etamap.eta(cubic)
+    cov = etamap.eta(_load_cubic(args.cubic))
     payload = _base_payload()
-    payload.update(
-        a=print_poly(cov.a), b=print_poly(cov.b),
-        c=print_poly(cov.c), d=print_poly(cov.d),
-    )
-    _emit(payload, args, [
-        "a = %s" % print_poly(cov.a),
-        "b = %s" % print_poly(cov.b),
-        "c = %s" % print_poly(cov.c),
-        "d = %s" % print_poly(cov.d),
-    ])
+    lines = _poly_fields(payload, "abcd", (cov.a, cov.b, cov.c, cov.d))
+    _emit(payload, args, lines)
     return EXIT_OK
 
 
 def _cmd_branch(args):
-    cov = _load_cover(args)
-    inv = cover_mod.derived_invariants(cov)
-    payload = _base_payload()
-    lines = [
-        "A = %s" % print_poly(inv.A),
-        "B = %s" % print_poly(inv.B),
-        "C = %s" % print_poly(inv.C),
-        "D = %s" % print_poly(inv.D),
-    ]
-    payload.update(A=print_poly(inv.A), B=print_poly(inv.B),
-                   C=print_poly(inv.C), D=print_poly(inv.D))
+    inv = cover_mod.derived_invariants(_load_cover(args))
     decomposition = cover_mod.branch_decomposition(inv.D)
-    payload["branch"] = print_poly(decomposition.degree6_form)
-    payload["S"] = print_poly(decomposition.S)
-    payload["T"] = print_poly(decomposition.T)
-    lines.append("branch = %s" % payload["branch"])
-    lines.append("S = %s" % payload["S"])
-    lines.append("T = %s" % payload["T"])
+    payload = _base_payload()
+    lines = _poly_fields(
+        payload, ("A", "B", "C", "D", "branch", "S", "T"),
+        (inv.A, inv.B, inv.C, inv.D,
+         decomposition.degree6_form, decomposition.S, decomposition.T),
+    )
     _emit(payload, args, lines)
     return EXIT_OK
 
 
 def _cmd_delta(args, normalize=False):
-    cubic = _load_cubic(args, _chart_perm(args))
-    delta = etamap.delta_f(cubic)
+    delta = etamap.delta_f(_load_cubic(args.cubic))
     if normalize:
         if delta.is_zero():
             raise DegenerateCover("delta vanishes identically")
         delta = squarefree_part(delta)
     payload = _base_payload()
     payload["branch"] = print_poly(delta)
-    _emit(payload, args, ["%s" % print_poly(delta)])
+    _emit(payload, args, [payload["branch"]])
     return EXIT_OK
 
 
 def _cmd_verify_discrim(args):
-    cubic = _load_cubic(args, _chart_perm(args))
-    cert = etamap.verify_discrim_lemma(cubic)
+    cert = etamap.verify_discrim_lemma(_load_cubic(args.cubic))
     payload = _base_payload()
     payload["lambda"] = _frac_str(cert.lam)
     payload["branch"] = print_poly(cert.D_f)
@@ -339,24 +302,12 @@ def _cmd_verify_discrim(args):
 
 
 def _cmd_torus_check(args):
-    pair = _load_pair(args, _chart_perm(args))
-    delta = None
-    if args.delta is not None:
-        delta = _rotate_form(_parse(args.delta, X_VARS), _chart_perm(args))
+    pair = _load_pair(args)
+    delta = None if args.delta is None else _parse(args.delta, X_VARS)
     report = torus.check_conditions(pair, delta)
     payload = _base_payload()
-    payload["conditions"] = _condition_payload(report)
     payload["branch"] = print_poly(report.delta)
-    lines = []
-    for key, verdict in (("c1", report.condition1),
-                         ("c2", report.condition2),
-                         ("c3", report.condition3)):
-        if verdict is None:
-            continue
-        line = "condition %s: %s" % (key, "holds" if verdict.holds else "fails")
-        if verdict.witness is not None:
-            line += " (witness: %s)" % print_poly(verdict.witness)
-        lines.append(line)
+    lines = _conditions(payload, report)
     lines.append("all conditions hold" if report.all_hold()
                  else "some condition fails")
     _emit(payload, args, lines)
@@ -364,7 +315,6 @@ def _cmd_torus_check(args):
 
 
 def _cmd_classify(args):
-    perm = _chart_perm(args)
     given = [args.flag_cubic is not None, args.g2 is not None or args.g3 is not None,
              args.a is not None]
     if sum(given) != 1:
@@ -372,12 +322,11 @@ def _cmd_classify(args):
             "classify needs exactly one of --flag-cubic, --g2/--g3 or --a/--b/--c/--d"
         )
     if args.flag_cubic is not None:
-        args.cubic = args.flag_cubic
-        spec = CoverSpec.flag(_load_cubic(args, perm))
+        spec = CoverSpec.flag(_load_cubic(args.flag_cubic))
     elif args.g2 is not None or args.g3 is not None:
         if args.g2 is None or args.g3 is None:
             raise _UsageError("classify needs both --g2 and --g3")
-        spec = CoverSpec.torus(_load_pair(args, perm))
+        spec = CoverSpec.torus(_load_pair(args))
     else:
         if None in (args.b, args.c, args.d):
             raise _UsageError("classify needs all of --a, --b, --c, --d")
@@ -400,21 +349,14 @@ def _cmd_restrict_line(args):
     lr = cover_mod.restrict_to_line(cov, line)
     verdict = cover_mod.is_line_cover_connected(lr)
     payload = _base_payload()
-    payload.update(
-        aL=print_poly(lr.aL), bL=print_poly(lr.bL),
-        cL=print_poly(lr.cL), dL=print_poly(lr.dL),
-        connectivity=verdict.status,
-    )
-    lines = [
-        "a|L = %s" % print_poly(lr.aL),
-        "b|L = %s" % print_poly(lr.bL),
-        "c|L = %s" % print_poly(lr.cL),
-        "d|L = %s" % print_poly(lr.dL),
-        "connectivity: %s" % verdict.status,
-    ]
+    lines = _poly_fields(payload, ("aL", "bL", "cL", "dL"),
+                         (lr.aL, lr.bL, lr.cL, lr.dL),
+                         ("a|L", "b|L", "c|L", "d|L"))
+    payload["connectivity"] = verdict.status
+    lines.append("connectivity: %s" % verdict.status)
     if verdict.witness_root is not None:
         payload["witness_root"] = print_poly(verdict.witness_root)
-        lines.append("witness root: %s" % print_poly(verdict.witness_root))
+        lines.append("witness root: %s" % payload["witness_root"])
     _emit(payload, args, lines)
     if verdict.status == "connected":
         return EXIT_OK
@@ -424,33 +366,18 @@ def _cmd_restrict_line(args):
 
 
 def _cmd_total_branch(args):
-    perm = _chart_perm(args)
     payload = _base_payload()
     if args.cubic is not None:
-        cubic = _load_cubic(args, perm)
-        locus = etamap.total_branch_locus(cubic)
-        payload["total_branch"] = {
-            "count": locus.count,
-            "rational_points": [_point_str(p) for p in locus.rational_points],
-        }
-        lines = ["total branch count: %d" % locus.count]
-        for p in locus.rational_points:
-            lines.append("  rational point: (%s : %s : %s)" % tuple(_point_str(p)))
+        locus = etamap.total_branch_locus(_load_cubic(args.cubic))
+        lines = _total_branch(payload, "total branch count: %d",
+                              locus.count, locus.rational_points)
         _emit(payload, args, lines)
         return EXIT_OK
     if args.g2 is not None and args.g3 is not None:
-        pair = _load_pair(args, perm)
-        locus = torus.total_branch_points(pair)
-        payload["total_branch"] = {
-            "count": locus.count_with_multiplicity,
-            "rational_points": [_point_str(p) for p, _ in locus.rational_points],
-        }
-        lines = ["count with multiplicity: %d" % locus.count_with_multiplicity]
-        for p, mult in locus.rational_points:
-            lines.append(
-                "  rational point: (%s : %s : %s) multiplicity %d"
-                % (tuple(_point_str(p)) + (mult,))
-            )
+        locus = torus.total_branch_points(_load_pair(args))
+        mults = dict(locus.rational_points)
+        lines = _total_branch(payload, "count with multiplicity: %d",
+                              locus.count_with_multiplicity, list(mults), mults)
         _emit(payload, args, lines)
         return EXIT_OK
     if args.a is not None and args.point is not None:
@@ -476,10 +403,8 @@ def _cmd_total_branch(args):
 
 
 def _cmd_cusp_check(args):
-    perm = _chart_perm(args)
-    form = _rotate_form(_parse(args.branch, X_VARS), perm)
-    point = _rotate_point(_parse_point(args.point, 3), perm)
-    verdict = a2_cusp_check(form, point)
+    form = _parse(args.branch, X_VARS)
+    verdict = a2_cusp_check(form, _parse_point(args.point, 3))
     payload = _base_payload()
     payload.update(
         on_curve=verdict["on_curve"],
@@ -509,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     def common(p):
-        p.add_argument("--chart", choices=("x0", "x1", "x2"), default="x0")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     def cover_args(p, required=True):

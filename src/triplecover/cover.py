@@ -95,11 +95,6 @@ class ResolventCubic:
     quad: MPoly  # -3A (z-form) or -3C (w-form)
     const: MPoly  # bB - 2aA (z-form) or cB - 2dC (w-form)
 
-    def coefficients(self):
-        one = MPoly.constant(self.quad.vars, 1)
-        zero = MPoly.zero(self.quad.vars)
-        return (one, zero, self.quad, self.const)
-
     def as_poly(self, vars=UZW_VARS) -> MPoly:
         """The cubic as a polynomial with its coordinate adjoined."""
         y = MPoly.variable(vars, self.coordinate)

@@ -272,10 +272,16 @@ def total_branch_locus(f: TernaryCubic) -> TotalBranchLocus:
     flexes, a curve of degree 18, so one of ``PROJECTION_CENTERS`` is good.
     Anything else (a zero eliminant, another multiplicity, no good center)
     shows that f is singular and raises NotSmooth.  The flex on a line with
-    a rational root is unique, hence rational.
+    a rational root is unique, hence rational.  Hess(f) vanishes exactly
+    when f is a cone (three concurrent lines, a double or a triple line),
+    which is rejected before any projection.
     """
+    if f.is_zero():
+        raise DegenerateCubic("total branch locus of the zero cubic")
     fp = f.as_poly()
     hess = _hessian(fp)
+    if hess.is_zero():
+        raise NotSmooth("the cubic is a cone: its Hessian vanishes identically")
     for center in PROJECTION_CENTERS:
         m = center_matrix(center)
         g, h = linear_change(fp, m), linear_change(hess, m)

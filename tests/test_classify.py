@@ -220,6 +220,50 @@ def test_classify_raw_eta_random_round_trip():
         checked += 1
 
 
+def _moved(point, perm):
+    """The point with coordinate i moved to position perm[i], scaled so that
+    its first nonzero coordinate is 1."""
+    moved = [None] * 3
+    for i, c in enumerate(point):
+        moved[perm[i]] = c
+    pivot = next(c for c in moved if c)
+    return tuple(c / pivot for c in moved)
+
+
+def test_verdict_independent_of_chart():
+    """Swapping x0 with x1 or x2 moves the reported points and nothing else."""
+    inputs = (
+        CoverSpec.flag(TernaryCubic.from_poly(v0 ** 3 + 2 * v1 ** 3 + 3 * v2 ** 3
+                                              + v0 * v1 * v2)),
+        CoverSpec.flag(TernaryCubic.from_poly(v1 ** 3 + v2 ** 3 + v0 * v1 * v2)),
+        CoverSpec.torus(TorusPair(x0 * x1, x2 ** 3 - x0 ** 3)),
+        # Three rational cusps that no swap permutes among themselves.
+        CoverSpec.flag(TernaryCubic.from_poly(
+            2 * v0 ** 3 + 3 * v0 ** 2 * v1 + 9 * v0 ** 2 * v2 + 3 * v0 * v1 ** 2
+            + 9 * v0 * v1 * v2 + v1 ** 3 + v2 ** 3
+        )),
+    )
+    for spec in inputs:
+        base = classify(spec)
+        for perm in polyring.CHART_PERMS:
+            if spec.kind == "flag":
+                swapped = classify(CoverSpec.flag(spec.flag_cubic.permuted(perm)))
+            else:
+                swapped = classify(CoverSpec.torus(spec.torus_pair.permuted(perm)))
+            assert swapped.case == base.case, perm
+            assert swapped.total_branch.get("count") == base.total_branch.get("count")
+            assert set(swapped.total_branch.get("rational_points", ())) == {
+                _moved(p, perm) for p in base.total_branch.get("rational_points", ())
+            }
+            assert swapped.total_branch.get("multiplicities", {}) == {
+                _moved(p, perm): m
+                for p, m in base.total_branch.get("multiplicities", {}).items()
+            }
+            if "singular_point" in base.certificates:
+                assert swapped.certificates["singular_point"] == \
+                    _moved(base.certificates["singular_point"], perm)
+
+
 def test_classify_deterministic():
     a = classify(CoverSpec.flag(FERMAT))
     b = classify(CoverSpec.flag(FERMAT))

@@ -1,10 +1,14 @@
 """Tests for the tck command line tool."""
 
+import argparse
 import json
 import re
 from fractions import Fraction
+from pathlib import Path
 
-from triplecover.cli import run
+import pytest
+
+from triplecover.cli import build_parser, run
 from triplecover.polyparse import parse_poly
 from triplecover.polyring import V_VARS
 
@@ -12,6 +16,8 @@ FERMAT = "v0^3+v1^3+v2^3"
 DOUBLE_LINE = "v0^2*v1+v0^2*v2"
 SINGULAR_NOTE = re.compile(r"singular at \((.+) : (.+) : (.+)\)")
 FERMAT_BRANCH = "(x0^3-x1^3-x2^3)^2-4*x1^3*x2^3"
+RAW_TORUS = ("--a", "0", "--b", "1", "--c=-2*(u2^3-1)", "--d", "u1")
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def invoke(capsys, *argv):
@@ -150,23 +156,18 @@ def test_total_branch_point_probe(capsys):
 
 
 def test_cusp_check_positive(capsys):
-    code, out, _ = invoke(capsys, "cusp-check", "--branch", FERMAT_BRANCH,
-                          "--point", "1,1,0")
-    assert code == 0
-    assert "ordinary cusp: True" in out
+    # (0 : 1 : 1) lies off the chart x0 != 0.
+    for point in ("1,1,0", "0,1,1"):
+        code, out, _ = invoke(capsys, "cusp-check", "--branch", FERMAT_BRANCH,
+                              "--point", point)
+        assert code == 0, point
+        assert "ordinary cusp: True" in out
 
 
 def test_cusp_check_negative(capsys):
     code, _, _ = invoke(capsys, "cusp-check", "--branch", FERMAT_BRANCH,
                         "--point", "1,2,0")
     assert code == 1
-
-
-def test_chart_rotation(capsys):
-    # (0 : 1 : 1) is reachable on the x1 chart as the point (0, 1).
-    code, out, _ = invoke(capsys, "cusp-check", "--branch", FERMAT_BRANCH,
-                          "--chart", "x1", "--point", "1,0,1")
-    assert code == 0
 
 
 def test_parse_error_exit_code(capsys):
@@ -207,25 +208,105 @@ def test_classify_double_line_witness(capsys):
     assert all(not f.partial_derivative(v).evaluate(at) for v in V_VARS)
 
 
-def test_verdict_independent_of_chart(capsys):
-    inputs = (
-        ("--flag-cubic", "v0^3+2*v1^3+3*v2^3+v0*v1*v2"),
-        ("--flag-cubic", "v1^3+v2^3+v0*v1*v2"),
-        ("--g2", "x0*x1", "--g3", "x2^3-x0^3"),
-    )
-    for argv in inputs:
-        verdicts = set()
-        for chart in ("x0", "x1", "x2"):
-            _, out, _ = invoke(capsys, "classify", *argv, "--chart", chart,
-                               "--format", "json")
-            payload = json.loads(out)
-            verdicts.add((payload["case"], payload["total_branch"]["count"]))
-        assert len(verdicts) == 1, (argv, verdicts)
-
-
 def test_json_output_deterministic(capsys):
     _, out1, _ = invoke(capsys, "classify", "--flag-cubic", FERMAT,
                         "--format", "json")
     _, out2, _ = invoke(capsys, "classify", "--flag-cubic", FERMAT,
                         "--format", "json")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("argv", [
+    ("eta", "--cubic", FERMAT),
+    ("branch",) + RAW_TORUS,
+    ("delta", "--cubic", FERMAT),
+    ("dual", "--cubic", FERMAT),
+    ("verify-discrim", "--cubic", FERMAT),
+    ("torus-check", "--g2", "x0*x1", "--g3", "x2^3-x0^3"),
+    ("classify", "--flag-cubic", FERMAT),
+    ("restrict-line",) + RAW_TORUS + ("--u1", "t", "--u2", "1"),
+    ("total-branch", "--cubic", FERMAT),
+    ("cusp-check", "--branch", FERMAT_BRANCH, "--point", "1,1,0"),
+], ids=lambda argv: argv[0])
+def test_chart_option_is_usage_error(capsys, argv):
+    """Verdicts are projective, so there is no chart to choose."""
+    code, out, err = invoke(capsys, *argv, "--chart", "x1")
+    assert code == 2
+    assert out == ""
+    assert "--chart" in err
+
+
+PINNED_TEXT = {
+    "eta": (
+        ("eta", "--cubic", FERMAT), 0,
+        "a = -u1^2*u2\nb = u1^3 - 1\nc = -u2^3 + 1\nd = u1*u2^2\n",
+    ),
+    "branch": (
+        ("branch",) + RAW_TORUS, 0,
+        "A = -u1\nB = 2*u2^3 - 2\nC = u1^2\nD = 4*u2^6 + 4*u1^3 - 8*u2^3 + 4\n"
+        "branch = 4*x0^6 + 4*x0^3*x1^3 - 8*x0^3*x2^3 + 4*x2^6\n"
+        "S = x0^6 + x0^3*x1^3 - 2*x0^3*x2^3 + x2^6\nT = 1\n",
+    ),
+    "restrict-line": (
+        ("restrict-line",) + RAW_TORUS + ("--u1", "t", "--u2", "1"), 1,
+        "a|L = 0\nb|L = 1\nc|L = 0\nd|L = t\n"
+        "connectivity: disconnected\nwitness root: 0\n",
+    ),
+    "torus-check": (
+        ("torus-check", "--g2", "x0*x1", "--g3", "x0^2*x2"), 1,
+        "condition c2: fails (witness: x0)\ncondition c3: holds\n"
+        "some condition fails\n",
+    ),
+    "torus-check-delta": (
+        ("torus-check", "--g2", "x0*x1", "--g3", "x2^3-x0^3",
+         "--delta", "x0^3*x1^3+(x2^3-x0^3)^2"), 0,
+        "condition c1: holds\ncondition c2: holds\ncondition c3: holds\n"
+        "all conditions hold\n",
+    ),
+    "total-branch-cubic": (
+        ("total-branch", "--cubic", FERMAT), 0,
+        "total branch count: 9\n  rational point: (1 : 0 : 1)\n"
+        "  rational point: (1 : 1 : 0)\n  rational point: (0 : 1 : 1)\n",
+    ),
+    "total-branch-torus": (
+        ("total-branch", "--g2", "x0*x1", "--g3", "x2^3-x0^3"), 0,
+        "count with multiplicity: 6\n"
+        "  rational point: (0 : 1 : 0) multiplicity 3\n"
+        "  rational point: (1 : 0 : 1) multiplicity 1\n",
+    ),
+    "total-branch-point": (
+        ("total-branch",) + RAW_TORUS + ("--point", "0,1"), 0,
+        "point status: total\n",
+    ),
+    "classify-torus": (
+        ("classify", "--g2", "x0*x1", "--g3", "x0^2*x2"), 1,
+        "case: NotNormal\nbranch: x0^4*x2^2 + x0^3*x1^3\n"
+        "condition c2: fails (witness: x0)\ncondition c3: holds\n"
+        "note: condition (2) fails with witness MPoly(['x0', 'x1', 'x2'], x0)\n"
+        "OK\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_TEXT)
+def test_text_output_pinned(capsys, name):
+    argv, expected_code, expected_out = PINNED_TEXT[name]
+    assert invoke(capsys, *argv) == (expected_code, expected_out, "")
+
+
+def _long_options(parser):
+    options = set()
+    for action in parser._actions:
+        options.update(s for s in action.option_strings if s.startswith("--"))
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                options |= _long_options(sub)
+    return options - {"--help"}
+
+
+def test_readme_documents_every_option():
+    text = README.read_text()
+    section = text[text.index("## Command line"):]
+    section = section.split("\n## ", 1)[0]
+    documented = set(re.findall(r"--[a-z][a-z0-9-]*", section))
+    assert _long_options(build_parser()) == documented

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from triplecover import etamap
 from triplecover.cover import derived_invariants
 from triplecover.errors import (
     DegenerateCover,
@@ -198,10 +199,22 @@ def test_total_branch_locus_fermat():
     }
 
 
-def test_total_branch_locus_rejects_singular():
+def test_total_branch_locus_rejects_singular(monkeypatch):
     triangle = TernaryCubic.from_poly(v0 * v1 * v2)
     with pytest.raises(NotSmooth):
         total_branch_locus(triangle)
+    # Hess(f) = 0 exactly for cones, and those and the zero cubic are
+    # rejected before any projection.
+    projections = []
+    inner = etamap.linear_change
+    monkeypatch.setattr(etamap, "linear_change",
+                        lambda p, m: projections.append(m) or inner(p, m))
+    for cone in (v0 * v1 * (v0 + v1), v0 ** 2 * v1, (v0 + 2 * v1 - v2) ** 3):
+        with pytest.raises(NotSmooth, match="cone"):
+            total_branch_locus(TernaryCubic.from_poly(cone))
+    with pytest.raises(DegenerateCubic):
+        total_branch_locus(TernaryCubic((0,) * 10))
+    assert projections == []
 
 
 def test_total_branch_locus_perturbed_fermat():
