@@ -30,9 +30,11 @@ from .polyring import (
     divides,
     gcd,
     homogenize,
+    projective_point,
     repeated_part,
     squarefree_part,
 )
+from .polyparse import print_poly
 
 CASE_FLAG_BUNDLE = "FlagBundle"
 CASE_CUBIC_SURFACE = "CubicSurface"
@@ -78,12 +80,8 @@ def _to_chart(point):
     """The swap ``CHART_PERMS[k]`` for the first nonzero coordinate xk of a
     projective point, the point scaled to xk = 1, and the chart coordinates
     (u1, u2) of the swapped point in the chart x0 != 0."""
-    point = tuple(Fraction(c) for c in point)
-    pivot = next((i for i, c in enumerate(point) if c), None)
-    if pivot is None:
-        raise TripleCoverError("zero vector is not a projective point")
-    perm = CHART_PERMS[pivot]
-    scaled = tuple(c / point[pivot] for c in point)
+    scaled = projective_point(point)
+    perm = CHART_PERMS[scaled.index(1)]
     return perm, scaled, tuple(scaled[perm[j]] for j in (1, 2))
 
 
@@ -210,8 +208,7 @@ def _singular_point(f: etamap.TernaryCubic, repeated: MPoly | None):
         if line is None:
             return None
         witness = _line_coefficients(line)
-    pivot = next(c for c in witness if c)
-    witness = tuple(c / pivot for c in witness)
+    witness = projective_point(witness)
     at = dict(zip(V_VARS, witness))
     if any(fp.partial_derivative(v).evaluate(at) for v in V_VARS):
         raise LemmaViolation(
@@ -319,7 +316,7 @@ def _classify_torus(pair: torus.TorusPair) -> ClassificationReport:
                     "condition (%s) fails%s" % (
                         name,
                         "" if verdict.witness is None
-                        else " with witness %r" % verdict.witness,
+                        else " with witness %s" % print_poly(verdict.witness),
                     )
                 )
         return report

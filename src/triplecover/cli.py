@@ -87,7 +87,10 @@ def _parse_point(text: str, size: int):
     parts = _read_literal(text).split(",")
     if len(parts) != size:
         raise _UsageError("expected %d comma-separated coordinates" % size)
-    return tuple(_parse_fraction(p) for p in parts)
+    point = tuple(_parse_fraction(p) for p in parts)
+    if size == 3 and not any(point):
+        raise _UsageError("zero vector is not a projective point")
+    return point
 
 
 def _load_cubic(text: str) -> etamap.TernaryCubic:

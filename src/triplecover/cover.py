@@ -254,20 +254,14 @@ def is_line_cover_connected(lr: LineRestriction) -> ConnectivityVerdict:
     roots in Q[t]).
     """
     cov = AffineCoverData(lr.aL, lr.bL, lr.cL, lr.dL)
-    for cubic_data in (_line_resolvent(cov, "z"), _line_resolvent(cov, "w")):
-        quad, const = cubic_data
-        if quad.is_zero() and const.is_zero():
+    for res in (resolvent_cubic(cov, "z"), resolvent_cubic(cov, "w")):
+        if res.quad.is_zero() and res.const.is_zero():
             continue
-        root = _polynomial_root_search(quad, const)
+        root = _polynomial_root_search(res.quad, res.const)
         if root is not None:
             return ConnectivityVerdict("disconnected", root)
         return ConnectivityVerdict("connected")
     return ConnectivityVerdict("degenerate")
-
-
-def _line_resolvent(cov: AffineCoverData, coordinate):
-    res = resolvent_cubic(cov, coordinate)
-    return res.quad, res.const
 
 
 def is_total_branch_point(cov: AffineCoverData, point) -> TotalBranchVerdict:

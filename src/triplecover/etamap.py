@@ -33,6 +33,7 @@ from .polyring import (
     homogenize,
     lift_direction,
     linear_change,
+    projective_point,
     repeated_part,
     resultant,
     squarefree_decomposition,
@@ -310,9 +311,7 @@ def total_branch_locus(f: TernaryCubic) -> TotalBranchLocus:
     for w0, w1 in directions:
         w = (w0, w1, lift_direction(g, h, w0, w1))
         flex = {v: sum(m[i][j] * w[j] for j in range(3)) for i, v in enumerate(V_VARS)}
-        cusp = [d.evaluate(flex) for d in gradient]
-        pivot = next(c for c in cusp if c)
-        cusps.append(tuple(c / pivot for c in cusp))
+        cusps.append(projective_point(d.evaluate(flex) for d in gradient))
     # Chart order: the points (1, a, b) by (a, b), then (0, 1, c), (0, 0, 1).
     cusps.sort(key=lambda p: (p.index(1), p))
     return TotalBranchLocus(9, tuple(cusps), {"center": center, "eliminant": elim})

@@ -507,6 +507,15 @@ def linear_change(p: MPoly, matrix) -> MPoly:
     return p.substitute(assignment, vars)
 
 
+def projective_point(coords):
+    """The point with its first nonzero coordinate scaled to 1."""
+    coords = tuple(Fraction(c) for c in coords)
+    pivot = next((c for c in coords if c), None)
+    if pivot is None:
+        raise TripleCoverError("zero vector is not a projective point")
+    return tuple(c / pivot for c in coords)
+
+
 # ---------------------------------------------------------------------------
 # Exact division
 
@@ -541,18 +550,13 @@ def exact_divide(p: MPoly, q: MPoly) -> MPoly:
 
 
 # ---------------------------------------------------------------------------
-# GCD (primitive pseudo-remainder sequence, content recursion)
+# GCD and resultant (one subresultant pseudo-remainder sequence)
 
 
 def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
     # gcd on Q normalized so that dividing by it leaves coprime integers.
-    if not a:
-        return abs(b)
-    if not b:
-        return abs(a)
-    num = math.gcd(a.numerator, b.numerator)
-    den = (a.denominator * b.denominator) // math.gcd(a.denominator, b.denominator)
-    return Fraction(num, den)
+    return Fraction(math.gcd(a.numerator, b.numerator),
+                    math.lcm(a.denominator, b.denominator))
 
 
 def _content_and_primitive(p: MPoly, var):
@@ -571,7 +575,7 @@ def _pseudo_remainder(p: MPoly, q: MPoly, var) -> MPoly:
 
     A step that cancels more than one degree uses up fewer than dp-dq+1
     factors of lc(q); the missing ones are multiplied in at the end, so the
-    value is exact (the subresultant sequence of ``resultant`` needs it).
+    value is exact (the subresultant sequence needs it).
     """
     dq = q.degree_in(var)
     lc_q = q.coefficients_in(var)[dq]
@@ -588,8 +592,37 @@ def _pseudo_remainder(p: MPoly, q: MPoly, var) -> MPoly:
     return r * lc_q ** missing
 
 
+def _subresultants(p: MPoly, q: MPoly, var):
+    """The subresultant sequence of p and q, both of positive degree in var
+    (Collins 1967; Cohen, Algorithm 3.3.7), run until a pseudo-remainder
+    vanishes or is constant in var; every division is exact.  Returns the
+    last two members a, b, the scale h and the sign of the Sylvester row
+    swaps.  If deg b > 0, b is a multiple of gcd(p, q) of the same degree.
+    """
+    dp, dq = p.degree_in(var), q.degree_in(var)
+    # Res(q, p) = (-1)^(dp*dq) Res(p, q).
+    sign = -1 if dp < dq and dp % 2 and dq % 2 else 1
+    a, b = (p, q) if dp >= dq else (q, p)
+    g = h = MPoly.constant(p.vars, 1)
+    while b.degree_in(var) > 0:
+        da, db = a.degree_in(var), b.degree_in(var)
+        delta = da - db
+        if da % 2 and db % 2:
+            sign = -sign
+        r = _pseudo_remainder(a, b, var)
+        if r.is_zero():
+            break
+        a, b = b, exact_divide(g * h ** delta, r)
+        g = a.coefficients_in(var)[db]
+        # Only the first step can have delta = 0; it leaves h alone.
+        if delta:
+            h = exact_divide(h ** (delta - 1), g ** delta)
+    return a, b, h, sign
+
+
 def _gcd_inner(p: MPoly, q: MPoly) -> MPoly:
-    """Unnormalized gcd; keeps rational content so primitive parts work."""
+    """Unnormalized gcd: cont(p, q) times the primitive part of the last
+    subresultant of pp(p) and pp(q) (Cohen, Algorithm 3.3.1)."""
     if p.is_zero():
         return q
     if q.is_zero():
@@ -598,31 +631,17 @@ def _gcd_inner(p: MPoly, q: MPoly) -> MPoly:
     if not present:
         return MPoly.constant(p.vars, _frac_gcd(p.constant_value(), q.constant_value()))
     var = present[0]
-    dp, dq = p.degree_in(var), q.degree_in(var)
-    if dp == 0:
-        cont_q, _ = _content_and_primitive(q, var)
-        return _gcd_inner(p, cont_q)
-    if dq == 0:
-        cont_p, _ = _content_and_primitive(p, var)
-        return _gcd_inner(cont_p, q)
+    if p.degree_in(var) == 0:
+        return _gcd_inner(p, _content_and_primitive(q, var)[0])
+    if q.degree_in(var) == 0:
+        return _gcd_inner(_content_and_primitive(p, var)[0], q)
     cont_p, prim_p = _content_and_primitive(p, var)
     cont_q, prim_q = _content_and_primitive(q, var)
     cont = _gcd_inner(cont_p, cont_q)
-    a, b = prim_p, prim_q
-    if a.degree_in(var) < b.degree_in(var):
-        a, b = b, a
-    while True:
-        r = _pseudo_remainder(a, b, var)
-        if r.is_zero():
-            g = b
-            break
-        if r.degree_in(var) == 0:
-            g = MPoly.constant(p.vars, 1)
-            break
-        _, r = _content_and_primitive(r, var)
-        a, b = b, r
-    _, g = _content_and_primitive(g, var)
-    return cont * g
+    _, last, _, _ = _subresultants(prim_p, prim_q, var)
+    if last.degree_in(var) == 0:
+        return cont
+    return cont * _content_and_primitive(last, var)[1]
 
 
 def gcd(p: MPoly, q: MPoly) -> MPoly:
@@ -633,17 +652,10 @@ def gcd(p: MPoly, q: MPoly) -> MPoly:
     return _gcd_inner(p, q).monic()
 
 
-# ---------------------------------------------------------------------------
-# Resultants (subresultant pseudo-remainder sequence)
-
-
 def resultant(p: MPoly, q: MPoly, var) -> MPoly:
     """Resultant w.r.t. var, equal to the Sylvester determinant with the
-    p-rows above the q-rows.
-
-    Computed by the subresultant sequence on the gcd's pseudo-remainders
-    (Collins 1967; Cohen, Algorithm 3.3.7): every division is exact, and the
-    last nonzero remainder, scaled by g and h, is the resultant.
+    p-rows above the q-rows: zero when the last subresultant has positive
+    degree in var, else that member scaled by h and signed.
     """
     p._check_same(q)
     if p.is_zero() or q.is_zero():
@@ -655,25 +667,9 @@ def resultant(p: MPoly, q: MPoly, var) -> MPoly:
         return q ** dp
     if dp == 0:
         return p ** dq
-    # Res(q, p) = (-1)^(dp*dq) Res(p, q).
-    sign = -1 if dp < dq and dp % 2 and dq % 2 else 1
-    a, b = (p, q) if dp >= dq else (q, p)
-    g = h = MPoly.constant(p.vars, 1)
-    while True:
-        da, db = a.degree_in(var), b.degree_in(var)
-        delta = da - db
-        if da % 2 and db % 2:
-            sign = -sign
-        r = _pseudo_remainder(a, b, var)
-        if r.is_zero():
-            return r
-        a, b = b, exact_divide(g * h ** delta, r)
-        g = a.coefficients_in(var)[db]
-        # Only the first step can have delta = 0; it leaves h alone.
-        if delta:
-            h = exact_divide(h ** (delta - 1), g ** delta)
-        if b.degree_in(var) == 0:
-            break
+    a, b, h, sign = _subresultants(p, q, var)
+    if b.degree_in(var) > 0:
+        return MPoly.zero(p.vars)
     da = a.degree_in(var)
     res = exact_divide(h ** (da - 1), b ** da)
     return res if sign == 1 else -res
@@ -726,9 +722,7 @@ def squarefree_decomposition(p: MPoly) -> SquarefreeDecomposition:
         if not c.is_constant():
             g = exact_divide(c, g).monic()
         mult += 1
-    rebuilt = MPoly.constant(p.vars, 1)
-    for factor, m in parts:
-        rebuilt = rebuilt * factor ** m
+    rebuilt = SquarefreeDecomposition(1, tuple(parts)).reassemble(p.vars)
     unit = exact_divide(rebuilt, p)
     if not unit.is_constant():
         raise TripleCoverError("squarefree decomposition lost a factor")

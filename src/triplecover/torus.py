@@ -23,6 +23,7 @@ from .polyring import (
     gcd,
     lift_direction,
     linear_change,
+    projective_point,
     radical_divides,
     repeated_part,
     resultant,
@@ -88,11 +89,6 @@ class CubicSurfaceForm:
         return MPoly(X_VARS, {e[:3]: c for e, c in disc.terms.items()})
 
 
-def _chart_form(g: MPoly) -> MPoly:
-    """g(1, u1, u2) on the chart x0 != 0."""
-    return dehomogenize(g, U_VARS)
-
-
 def build_cover(pair: TorusPair) -> AffineCoverData:
     """Normal-form cover data (0, 1, -2*G3', G2') of a torus pair."""
     if pair.delta().is_zero():
@@ -100,8 +96,8 @@ def build_cover(pair: TorusPair) -> AffineCoverData:
     return AffineCoverData(
         MPoly.zero(U_VARS),
         MPoly.constant(U_VARS, 1),
-        -2 * _chart_form(pair.G3),
-        _chart_form(pair.G2),
+        -2 * dehomogenize(pair.G3, U_VARS),
+        dehomogenize(pair.G2, U_VARS),
     )
 
 
@@ -223,7 +219,7 @@ def total_branch_points(pair: TorusPair) -> IntersectionLocus:
             if x2v is None:
                 break
             original = _apply_matrix(m, (x0v, x1v, x2v))
-            points.append((_normalize_point(original), mult))
+            points.append((projective_point(original), mult))
         else:
             return IntersectionLocus(
                 count_with_multiplicity=6,
@@ -247,10 +243,3 @@ def _apply_matrix(m, point):
     return tuple(
         sum(Fraction(m[i][j]) * point[j] for j in range(3)) for i in range(3)
     )
-
-
-def _normalize_point(point):
-    for c in point:
-        if c:
-            return tuple(x / c for x in point)
-    raise TripleCoverError("zero vector is not a projective point")

@@ -181,6 +181,16 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
 
 
+def test_zero_projective_point_is_usage_error(capsys):
+    code, out, err = invoke(capsys, "cusp-check", "--branch", "x0^6",
+                            "--point", "0,0,0")
+    assert (code, out) == (2, "")
+    assert err == "usage error: zero vector is not a projective point\n"
+    # A chart point has no such restriction: (0, 0) is the chart origin.
+    code, out, _ = invoke(capsys, "total-branch", *RAW_TORUS, "--point", "0,0")
+    assert (code, out) == (1, "point status: not_total\n")
+
+
 def test_file_indirection(tmp_path, capsys):
     path = tmp_path / "cubic.txt"
     path.write_text(FERMAT + "\n")
@@ -282,7 +292,7 @@ PINNED_TEXT = {
         ("classify", "--g2", "x0*x1", "--g3", "x0^2*x2"), 1,
         "case: NotNormal\nbranch: x0^4*x2^2 + x0^3*x1^3\n"
         "condition c2: fails (witness: x0)\ncondition c3: holds\n"
-        "note: condition (2) fails with witness MPoly(['x0', 'x1', 'x2'], x0)\n"
+        "note: condition (2) fails with witness x0\n"
         "OK\n",
     ),
 }

@@ -82,10 +82,28 @@ def nonzero(make):
 
 def test_gcd_matches_sympy():
     rng = random.Random(101)
-    for _ in range(25):
-        common = nonzero(lambda: random_poly(rng, deg=2))
-        p = common * nonzero(lambda: random_poly(rng))
-        q = common * nonzero(lambda: random_poly(rng))
+    cases = []
+    for vars, count in ((U_VARS, 25), (V_VARS, 4)):
+        for _ in range(count):
+            common = nonzero(lambda: random_poly(rng, vars, deg=2))
+            p = common * nonzero(lambda: random_poly(rng, vars))
+            q = common * nonzero(lambda: random_poly(rng, vars))
+            cases.append((p, q))
+    # Ternary forms of degree 5, the shape of the gradient gcd of a sextic.
+    for _ in range(15):
+        common = nonzero(lambda: random_form(rng, V_VARS, 2))
+        cases.append((common * nonzero(lambda: random_form(rng, V_VARS, 3)),
+                      common * nonzero(lambda: random_form(rng, V_VARS, 3))))
+    v0, v1, v2 = (MPoly.variable(V_VARS, v) for v in V_VARS)
+    common = v0 - v1 + 2 * v2
+    cases += [
+        # Degrees 7, 4, 2, 1 in v0: gaps of 3, then 2.
+        (common * (v0 ** 6 + v1 * v0 + 1), common * (v0 ** 3 + v1)),
+        # The last subresultant is (v2 - v1) * (v0 + v1): its content in
+        # v1, v2 is not part of the gcd.
+        ((v0 + v1) * (v1 * v0 + 1), (v0 + v1) * (v2 * v0 + 1)),
+    ]
+    for p, q in cases:
         assert proportional(gcd(p, q), sympy.gcd(to_sympy(p), to_sympy(q)))
 
 
@@ -125,9 +143,9 @@ def test_resultant_matches_sympy():
 
 def test_squarefree_decomposition_matches_sympy():
     rng = random.Random(103)
-    for _ in range(12):
+    for _ in range(15):
         p = MPoly.constant(V_VARS, rng.randint(1, 5))
-        for mult, deg in ((1, 2), (2, 2), (3, 1)):
+        for mult, deg in ((1, 2), (2, 2), (3, 2)):
             if rng.random() < 0.7:
                 p = p * nonzero(lambda: random_form(rng, V_VARS, rng.randint(1, deg))) ** mult
         if p.is_constant():
