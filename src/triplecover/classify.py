@@ -23,6 +23,7 @@ from .errors import (
 from .polyring import (
     CHART_PERMS,
     MPoly,
+    T_VARS,
     U_VARS,
     V_VARS,
     X_VARS,
@@ -32,6 +33,8 @@ from .polyring import (
     homogenize,
     projective_point,
     repeated_part,
+    resultant,
+    squarefree_line,
     squarefree_part,
 )
 from .polyparse import print_poly
@@ -261,6 +264,7 @@ def _classify_flag(f: etamap.TernaryCubic) -> ClassificationReport:
     report.certificates["lambda"] = cert.lam
     # The smoothness test found the form squarefree: S = form, T = 1.
     report.decomposition = cover_mod.split_branch(form, 1)
+    _certify_line(report)
     locus = etamap.total_branch_locus(f)
     report.total_branch = {
         "count": locus.count,
@@ -328,6 +332,7 @@ def _classify_torus(pair: torus.TorusPair) -> ClassificationReport:
     cov = torus.build_cover(pair)
     form = homogenize(cover_mod.derived_invariants(cov).D, 6, X_VARS)
     report.decomposition = cover_mod.split_branch(form, gcd(pair.G2, pair.G3))
+    _certify_line(report)
     report.certificates["surface"] = torus.cubic_surface_form(pair)
     try:
         locus = torus.total_branch_points(pair)
@@ -341,6 +346,13 @@ def _classify_torus(pair: torus.TorusPair) -> ClassificationReport:
     except TripleCoverError as exc:
         report.notes.append("total branch point search failed: %s" % exc)
     return report
+
+
+def _certify_line(report: ClassificationReport):
+    """Record the line of ``SQUAREFREE_LINES`` on which S is squarefree."""
+    line = squarefree_line(report.decomposition.S)
+    if line is not None:
+        report.certificates["squarefree_line"] = line
 
 
 def _classify_raw(cov: AffineCoverData) -> ClassificationReport:
@@ -381,7 +393,8 @@ def _classify_raw(cov: AffineCoverData) -> ClassificationReport:
 
 
 def cross_validate(report: ClassificationReport):
-    """Re-check the bookkeeping of a finished report; returns violations."""
+    """Re-check the bookkeeping of a finished report, and its
+    ``squarefree_line`` certificate over Q; returns violations."""
     violations = []
     if report.branch_form is not None:
         if report.branch_form.is_zero() or not report.branch_form.is_homogeneous() \
@@ -399,6 +412,10 @@ def cross_validate(report: ClassificationReport):
         rebuilt = decomposition.S * decomposition.T ** 2 * decomposition.unit
         if rebuilt != decomposition.degree6_form:
             violations.append("S * T^2 does not rebuild the branch form")
+        line = report.certificates.get("squarefree_line")
+        if line is not None and not _squarefree_on(decomposition.S, line):
+            violations.append("S is not squarefree on its certificate line "
+                              "(a, b) = %r of x2 = a*x0 + b*x1" % (line,))
     if report.case == CASE_FLAG_BUNDLE:
         if decomposition is None or not decomposition.T.is_constant():
             violations.append("flag-bundle branch must be reduced (T = 1)")
@@ -415,3 +432,20 @@ def cross_validate(report: ClassificationReport):
                     "surface discriminant is not proportional to the branch"
                 )
     return violations
+
+
+def _squarefree_on(form: MPoly, line) -> bool:
+    """Does the form restrict to a squarefree binary form of its degree d on
+    the line x2 = a*x0 + b*x1?  Checked over Q, independently of
+    ``squarefree_line``: form(1, t, a + b*t) has degree at least d - 1 (at
+    most a simple root at x0 = 0) and a nonzero resultant with its
+    derivative."""
+    a, b = line
+    t = MPoly.variable(T_VARS, "t")
+    x = form.vars
+    restricted = form.substitute({x[0]: 1, x[1]: t, x[2]: a + b * t}, T_VARS)
+    degree = restricted.total_degree()
+    if degree < max(form.total_degree() - 1, 0):
+        return False
+    return degree == 0 or \
+        not resultant(restricted, restricted.partial_derivative("t"), "t").is_zero()

@@ -37,6 +37,7 @@ from .polyring import (
     repeated_part,
     resultant,
     squarefree_decomposition,
+    squarefree_line,
 )
 from .univar import rational_roots, to_univariate
 
@@ -227,7 +228,10 @@ def branch_repeated_part(f: TernaryCubic) -> MPoly | None:
     the singular points p of f, since every line through a singular point
     meets f twice there.  So the part is constant exactly when f is smooth.
     None means that D_f vanishes identically, which happens exactly when f
-    has a repeated component.
+    has a repeated component.  A sextic that ``squarefree_line`` certifies
+    has part 1; only the others, every singular f and the rare smooth f
+    whose dual points of the listed lines lie on f or a flex tangent, take
+    the gradient gcd of ``repeated_part``.
     """
     if f.is_zero():
         raise DegenerateCubic("smoothness of the zero cubic")
@@ -235,11 +239,16 @@ def branch_repeated_part(f: TernaryCubic) -> MPoly | None:
     if D.is_zero():
         return None
     # Homogenized, so that a repeated x0 (singular point (1 : 0 : 0)) counts.
-    return repeated_part(homogenize(D, 6, X_VARS))
+    form = homogenize(D, 6, X_VARS)
+    if squarefree_line(form) is not None:
+        return MPoly.constant(X_VARS, 1)
+    return repeated_part(form)
 
 
 def is_smooth_cubic(f: TernaryCubic) -> bool:
-    """Is f smooth?  Exactly when D_f != 0 and homogenize(D_f, 6) is squarefree."""
+    """Is f smooth?  Exactly when D_f != 0 and homogenize(D_f, 6) is
+    squarefree: certified on a line of ``SQUAREFREE_LINES``, or else by the
+    gradient gcd of ``branch_repeated_part``."""
     repeated = branch_repeated_part(f)
     return repeated is not None and repeated.is_constant()
 

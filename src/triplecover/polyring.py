@@ -37,6 +37,12 @@ def _coeff(value) -> Fraction:
     raise TypeError("coefficients must be Fraction or int, got %r" % (value,))
 
 
+# One shared tuple per exponent vector made by the constructor or a product,
+# so that the polynomials a caller keeps do not each hold their own copies.
+# It holds at most one entry per monomial of the degrees in use.
+_EXPONENTS = {}
+
+
 def _order_key(exps):
     # Graded lex: compare total degree first, then exponents left to right.
     return (sum(exps), exps)
@@ -65,7 +71,7 @@ class MPoly:
                 if c:
                     acc = clean.get(exps)
                     if acc is None:
-                        clean[exps] = c
+                        clean[_EXPONENTS.setdefault(exps, exps)] = c
                     else:
                         acc = acc + c
                         if acc:
@@ -216,7 +222,7 @@ class MPoly:
                 exps = tuple(a + b for a, b in zip(e1, e2))
                 acc = terms.get(exps)
                 if acc is None:
-                    terms[exps] = c1 * c2
+                    terms[_EXPONENTS.setdefault(exps, exps)] = c1 * c2
                 else:
                     acc = acc + c1 * c2
                     if acc:
@@ -745,6 +751,81 @@ def repeated_part(p: MPoly) -> MPoly:
     if p.is_constant():
         return MPoly.constant(p.vars, 1)
     return _gradient_gcd(p)
+
+
+# The lines x2 = a*x0 + b*x1, as (a, b), that ``squarefree_line`` tries in
+# order.  A line fails on a squarefree form only when it is tangent to the
+# curve or passes through a singular point of it; for the dual sextic of a
+# cubic f that means its dual point (a : b : -1) lies on f or on a flex
+# tangent, which small-integer points often do.
+SQUAREFREE_LINES = ((3, 5), (5, 7), (7, 2), (2, 9))
+
+# The prime modulo which each line is tested.
+SQUAREFREE_MODULUS = 2 ** 31 - 1
+
+
+def squarefree_line(form: MPoly):
+    """The first (a, b) of ``SQUAREFREE_LINES`` on whose line
+    x2 = a*x0 + b*x1 a nonzero ternary form of degree d restricts to a
+    squarefree binary form of degree d, or None when no listed line does.
+
+    A certificate that the form is squarefree: a repeated factor E^2 of the
+    form restricts to a square on every line.  Each line is tested on the
+    primitive integer multiple of the form reduced modulo
+    ``SQUAREFREE_MODULUS``: Euclid's algorithm on B(1, t) = form(1, t, a + b*t)
+    and its derivative.  A squarefree B(1, t) of degree at least d - 1 there
+    means that the binary discriminant, an integer polynomial in the
+    coefficients, is nonzero modulo the prime, hence nonzero.  A line where
+    the reduction fails is only skipped, so the answer is exact.
+    """
+    if len(form.vars) != 3 or not form.is_homogeneous():
+        raise TripleCoverError("squarefree_line needs a ternary form")
+    if form.is_zero():
+        raise DegenerateCover("squarefree line of zero")
+    d = form.total_degree()
+    m = SQUAREFREE_MODULUS
+    scale = math.lcm(*(c.denominator for c in form.terms.values()))
+    ints = {e: c.numerator * (scale // c.denominator) for e, c in form.terms.items()}
+    content = math.gcd(*ints.values())
+    ints = {e: c // content % m for e, c in ints.items()}
+    for a, b in SQUAREFREE_LINES:
+        powers = [[1]]  # powers[k]: (a + b*t)^k modulo m, ascending in t
+        for _ in range(d):
+            last = powers[-1]
+            powers.append([(a * c + b * prev) % m
+                           for c, prev in zip(last + [0], [0] + last)])
+        restricted = [0] * (d + 1)
+        for (_, j, k), c in ints.items():
+            for i, p in enumerate(powers[k]):
+                restricted[i + j] += c * p
+        restricted = _trim_mod(restricted, m)
+        if len(restricted) >= max(d, 1) and _squarefree_mod(restricted, m):
+            return a, b
+    return None
+
+
+def _trim_mod(coeffs, m):
+    """Ascending coefficients reduced modulo m, with zero leading ones
+    dropped (the zero polynomial is the empty list)."""
+    coeffs = [c % m for c in coeffs]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def _squarefree_mod(coeffs, m):
+    """Is the nonzero polynomial (trimmed ascending coefficients) coprime to
+    its derivative modulo the prime m?"""
+    a = coeffs
+    b = _trim_mod([k * c for k, c in enumerate(coeffs)][1:], m)
+    while b:
+        inverse = pow(b[-1], -1, m)
+        while len(a) >= len(b):
+            q = a[-1] * inverse
+            shift = len(a) - len(b)
+            a = _trim_mod(a[:shift] + [x - q * y for x, y in zip(a[shift:], b)], m)
+        a, b = b, a
+    return len(a) == 1
 
 
 def radical_divides(p: MPoly, q: MPoly):

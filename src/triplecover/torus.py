@@ -20,6 +20,7 @@ from .polyring import (
     X_VARS,
     center_matrix,
     dehomogenize,
+    divides,
     gcd,
     lift_direction,
     linear_change,
@@ -27,6 +28,7 @@ from .polyring import (
     radical_divides,
     repeated_part,
     resultant,
+    squarefree_line,
     squarefree_part,
 )
 from .univar import derivative, eval_coeffs, rational_roots
@@ -146,10 +148,22 @@ def condition2(pair: TorusPair) -> ConditionVerdict:
 
 
 def condition3(pair: TorusPair) -> ConditionVerdict:
-    """Every prime whose square divides G2^3 + G3^2 must divide G2."""
+    """Every prime whose square divides G2^3 + G3^2 must divide G2.
+
+    With G2 != 0 and T = gcd(G2, G3), the condition holds when T^2 divides
+    delta = G2^3 + G3^2 and ``squarefree_line`` certifies delta / T^2: a
+    prime E with E^2 | delta and E not dividing T would have E^2 | delta / T^2,
+    so E divides T, which divides G2.  Otherwise the sextic's gradient gcd
+    (``repeated_part``) decides and gives the witness.
+    """
     delta = pair.delta()
     if delta.is_zero():
         raise DegenerateTorus("G2^3 + G3^2 = 0: condition 3 undefined")
+    if not pair.G2.is_zero():
+        T = gcd(pair.G2, pair.G3)
+        ok, rest = divides(T * T, delta)
+        if ok and squarefree_line(rest) is not None:
+            return ConditionVerdict(True)
     rep = repeated_part(delta)
     if rep.is_constant():
         return ConditionVerdict(True)

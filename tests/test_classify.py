@@ -140,10 +140,48 @@ def _sextics_factored(monkeypatch, spec):
             if p.vars == X_VARS and p.is_homogeneous() and p.total_degree() == 6]
 
 
-def test_classify_factors_branch_sextic_once(monkeypatch):
+def test_classify_factors_branch_sextic_only_for_witness(monkeypatch):
+    """Positive verdicts certify the sextic on a line; only a NotNormal
+    witness takes its gradient gcd."""
     torus_spec = CoverSpec.torus(TorusPair(x0 * x1, x2 ** 3 - x0 ** 3))
-    assert len(_sextics_factored(monkeypatch, torus_spec)) == 1
-    assert len(_sextics_factored(monkeypatch, CoverSpec.flag(FERMAT))) == 1
+    assert len(_sextics_factored(monkeypatch, torus_spec)) == 0
+    assert len(_sextics_factored(monkeypatch, CoverSpec.flag(FERMAT))) == 0
+    nodal = CoverSpec.flag(TernaryCubic.from_poly(v1 ** 3 + v2 ** 3 + v0 * v1 * v2))
+    assert len(_sextics_factored(monkeypatch, nodal)) == 1
+
+
+def _through_listed_dual_points():
+    """A smooth cubic through the dual point (a : b : -1) of every line
+    x2 = a*x0 + b*x1 of SQUAREFREE_LINES: v0*C1 + v1*C2 for two conics C1,
+    C2 through the four points, each a product of two joining lines."""
+    def joining(p, q):
+        c = (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2],
+             p[0] * q[1] - p[1] * q[0])
+        return c[0] * v0 + c[1] * v1 + c[2] * v2
+
+    p1, p2, p3, p4 = ((a, b, -1) for a, b in polyring.SQUAREFREE_LINES)
+    form = v0 * joining(p1, p2) * joining(p3, p4) \
+        + v1 * joining(p1, p3) * joining(p2, p4)
+    for p in (p1, p2, p3, p4):
+        assert not form.evaluate(dict(zip(V_VARS, p)))
+    return TernaryCubic.from_poly(form)
+
+
+def test_classify_flag_falls_back_when_every_line_is_tangent(monkeypatch):
+    """Every listed line is tangent to the dual sextic, so no line
+    certifies it; one gradient gcd shows it squarefree, and the report is
+    the one that gcd alone gives."""
+    spec = CoverSpec.flag(_through_listed_dual_points())
+    assert len(_sextics_factored(monkeypatch, spec)) == 1
+    report = classify(spec)
+    assert report.case == CASE_FLAG_BUNDLE
+    assert "squarefree_line" not in report.certificates
+    assert cross_validate(report) == []
+    monkeypatch.setattr(polyring, "SQUAREFREE_LINES", ())
+    alone = classify(spec)
+    assert (report.case, report.branch_form, report.total_branch) == \
+        (alone.case, alone.branch_form, alone.total_branch)
+    assert report.certificates["cusps"] == alone.certificates["cusps"]
 
 
 @pytest.mark.parametrize("E, l, q", [
@@ -153,11 +191,14 @@ def test_classify_factors_branch_sextic_once(monkeypatch):
     (x0, x0, x1 * x2),
     (x0 * x1 + x2 ** 2, 1, x0 + x2),
 ])
-def test_classify_torus_total_part_is_common_factor(E, l, q):
-    """With (2) and (3), T = gcd(G2, G3) and S = delta / T^2."""
+def test_classify_torus_total_part_is_common_factor(monkeypatch, E, l, q):
+    """With (2) and (3), T = gcd(G2, G3) and S = delta / T^2; a line
+    certifies (3) on S, so the sextic is never factored."""
     pair = TorusPair(E * l, E * q)
     report = classify(CoverSpec.torus(pair))
     assert report.case == CASE_CUBIC_SURFACE
+    assert report.certificates["squarefree_line"] in polyring.SQUAREFREE_LINES
+    assert _sextics_factored(monkeypatch, CoverSpec.torus(pair)) == []
     split = report.decomposition
     assert split.T == gcd(pair.G2, pair.G3)
     assert not split.T.is_constant()
@@ -165,6 +206,26 @@ def test_classify_torus_total_part_is_common_factor(E, l, q):
     assert (split.S, split.T, split.unit, split.degree6_form) == \
         (yun.S, yun.T, yun.unit, yun.degree6_form)
     assert cross_validate(report) == []
+
+
+@pytest.mark.parametrize("pair, c2, c3, note, factored", [
+    # (2) holds; delta = x0^2 x2^2 (2 x0^2 + x2^2) and x2 misses G2.
+    (TorusPair(-(x0 ** 2), x0 ** 3 + x0 * x2 ** 2), (True, None), (False, x2),
+     "condition (3) fails with witness x2", 1),
+    # E | G2 and E^2 | G3 for E = x0 + x1: (2) fails, and a line certifies
+    # (3) on delta / E^2.
+    (TorusPair((x0 + x1) * (x1 - 2 * x2), (x0 + x1) ** 2 * (x0 + 3 * x2)),
+     (False, x0 + x1), (True, None), "condition (2) fails with witness x0 + x1", 0),
+], ids=["condition3_fails", "factored"])
+def test_classify_torus_failure_witnesses(monkeypatch, pair, c2, c3, note, factored):
+    """The sextic is factored only for a condition-(3) witness."""
+    report = classify(CoverSpec.torus(pair))
+    assert report.case == CASE_NOT_NORMAL
+    conditions = report.certificates["conditions"]
+    assert (conditions.condition2.holds, conditions.condition2.witness) == c2
+    assert (conditions.condition3.holds, conditions.condition3.witness) == c3
+    assert report.notes == [note]
+    assert len(_sextics_factored(monkeypatch, CoverSpec.torus(pair))) == factored
 
 
 def test_classify_torus_condition_failure():
@@ -329,3 +390,14 @@ def test_cross_validate_flags_bad_decomposition():
     report = classify(CoverSpec.flag(FERMAT))
     report.total_branch["count"] = 8
     assert cross_validate(report) != []
+
+
+def test_cross_validate_rechecks_squarefree_line():
+    report = classify(CoverSpec.flag(FERMAT))
+    assert report.certificates["squarefree_line"] in polyring.SQUAREFREE_LINES
+    # x2 = x0 - x1 passes through the cusp (1 : 1 : 0) of the branch sextic.
+    report.certificates["squarefree_line"] = (1, -1)
+    assert cross_validate(report) == [
+        "S is not squarefree on its certificate line (a, b) = (1, -1) "
+        "of x2 = a*x0 + b*x1"
+    ]

@@ -21,6 +21,7 @@ from triplecover.polyring import (  # noqa: E402
     gcd,
     resultant,
     squarefree_decomposition,
+    squarefree_line,
 )
 from triplecover.univar import rational_roots  # noqa: E402
 
@@ -157,6 +158,26 @@ def test_squarefree_decomposition_matches_sympy():
         assert sorted(m for _, m in dec.parts) == sorted(by_mult)
         for factor, mult in dec.parts:
             assert proportional(factor, by_mult[mult])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    shape=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 2)),
+                   min_size=1, max_size=4),
+)
+def test_squarefree_line_agrees_with_sympy(seed, shape):
+    """A form of degree up to 6 that a line certifies is squarefree for
+    sympy."""
+    rng = random.Random(seed)
+    p = MPoly.constant(V_VARS, Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+    for deg, mult in shape:
+        if p.total_degree() + deg * mult <= 6:
+            p = p * nonzero(lambda: random_form(rng, V_VARS, deg)) ** mult
+    _, factors = sympy.sqf_list(to_sympy(p))
+    squarefree = all(m == 1 for _, m in factors)
+    if squarefree_line(p) is not None:
+        assert squarefree
 
 
 def univariate_roots_oracle(coeffs):

@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 from triplecover import polyring
-from triplecover.errors import TripleCoverError, VariableMismatchError
+from triplecover.errors import DegenerateCover, TripleCoverError, VariableMismatchError
 from triplecover.polyring import (
+    SQUAREFREE_LINES,
+    SQUAREFREE_MODULUS,
     MPoly,
     U_VARS,
     X_VARS,
@@ -25,6 +27,7 @@ from triplecover.polyring import (
     repeated_part,
     resultant,
     squarefree_decomposition,
+    squarefree_line,
     squarefree_part,
 )
 
@@ -225,6 +228,67 @@ def test_squarefree_part_and_repeated_part():
     assert sf == ((u1 + 1) * (u2 - 2) * (u1 + u2)).monic()
     rep = repeated_part(p)
     assert rep == ((u1 + 1) ** 2 * (u2 - 2)).monic()
+
+
+def random_form(rng, deg, span=5):
+    """A nonzero ternary form of the given degree over X_VARS, each
+    coefficient a fraction that may be zero."""
+    while True:
+        form = MPoly(X_VARS, {
+            (a, b, deg - a - b): Fraction(rng.randint(-span, span), rng.randint(1, 3))
+            for a in range(deg + 1) for b in range(deg + 1 - a)
+        })
+        if not form.is_zero():
+            return form
+
+
+def test_squarefree_line_never_certifies_a_square():
+    """E^2 * R restricts to a square on every line x2 = a*x0 + b*x1."""
+    rng = random.Random(106)
+    for _ in range(60):
+        e_deg = rng.randint(1, 2)
+        e = random_form(rng, e_deg)
+        r = random_form(rng, rng.randint(0, 6 - 2 * e_deg))
+        assert squarefree_line(e * e * r) is None
+
+
+def test_squarefree_line_certifies_fractional_forms():
+    x0, x1, x2 = (MPoly.variable(X_VARS, v) for v in X_VARS)
+    form = Fraction(3, 7) * (x0 ** 2 - Fraction(2, 5) * x1 * x2) \
+        * (x0 + Fraction(1, 5) * x2) * (Fraction(-4, 9) * x1 + x2)
+    line = squarefree_line(form)
+    assert line in SQUAREFREE_LINES
+    # The test reads the primitive integer multiple, so scale is irrelevant.
+    assert squarefree_line(form.monic()) == squarefree_line(-11 * form) == line
+    assert squarefree_line(Fraction(-2, 9) * (x0 - x1 / 3) ** 2 * x2) is None
+    # A nonzero constant and a linear form are squarefree.
+    assert squarefree_line(MPoly.constant(X_VARS, Fraction(5, 3))) == SQUAREFREE_LINES[0]
+    assert squarefree_line(x0 - 3 * x2) == SQUAREFREE_LINES[0]
+
+
+def test_squarefree_line_skips_lines_that_fail():
+    x0, x1, x2 = (MPoly.variable(X_VARS, v) for v in X_VARS)
+    (a, b), second = SQUAREFREE_LINES[0], SQUAREFREE_LINES[1]
+    first = x2 - a * x0 - b * x1
+    # The first line is a component, so the form restricts to zero there.
+    assert squarefree_line(first * x0 * x1) == second
+    # On the first line the form restricts to t^2 - p, squarefree over Q but
+    # a square modulo p: the failed reduction only moves on to the next line.
+    p = SQUAREFREE_MODULUS
+    form = x1 ** 2 - p * x0 ** 2 + x0 * first
+    assert squarefree_line(form) == second
+    with pytest.raises(DegenerateCover):
+        squarefree_line(MPoly.zero(X_VARS))
+    with pytest.raises(TripleCoverError):
+        squarefree_line(x0 ** 2 + x1)
+    with pytest.raises(TripleCoverError):
+        squarefree_line(u1 * u2)
+
+
+def test_polynomials_share_exponent_tuples():
+    a, b = u1 * u2, u2 * u1
+    c = MPoly(U_VARS, {(1, 1): 3})
+    assert next(iter(a.terms)) is next(iter(b.terms)) is next(iter(c.terms))
 
 
 def test_radical_divides():
