@@ -242,7 +242,8 @@ def classify(spec: CoverSpec) -> ClassificationReport:
 def _classify_flag(f: etamap.TernaryCubic) -> ClassificationReport:
     if f is None or f.is_zero():
         raise DegenerateCubic("flag classification of the zero cubic")
-    repeated = etamap.branch_repeated_part(f)
+    D = cover_mod.derived_invariants(etamap.eta(f)).D
+    repeated = etamap.branch_repeated_part(f, D)
     if repeated is None or not repeated.is_constant():
         report = ClassificationReport(CASE_NOT_NORMAL)
         witness = _singular_point(f, repeated)
@@ -256,7 +257,7 @@ def _classify_flag(f: etamap.TernaryCubic) -> ClassificationReport:
             report.notes.append("dual cubic is singular (no rational witness)")
         return report
 
-    cert = etamap.verify_discrim_lemma(f)
+    cert = etamap.verify_discrim_lemma(f, D)
     form = homogenize(cert.D_f, 6, X_VARS)
     branch = form.monic()
     report = ClassificationReport(CASE_FLAG_BUNDLE, branch_form=branch)

@@ -39,7 +39,7 @@ from .polyring import (
     squarefree_decomposition,
     squarefree_line,
 )
-from .univar import rational_roots, to_univariate
+from .univar import rational_roots, squarefree_mod_p, to_univariate
 
 # The monomials of a ternary cubic with the binomial scale of t1..t10.
 _MONOMIALS = (
@@ -189,10 +189,16 @@ def delta_f(f: TernaryCubic) -> MPoly:
     return binary_cubic_discriminant(fiber_binary_cubic(f))
 
 
-def verify_discrim_lemma(f: TernaryCubic) -> DiscrimCertificate:
-    """Certify delta_f = lambda * D_f as an exact identity."""
+def verify_discrim_lemma(f: TernaryCubic, D: MPoly | None = None) -> DiscrimCertificate:
+    """Certify delta_f = lambda * D_f as an exact identity.
+
+    ``D`` is D_f when the caller has it already; it defaults to
+    ``derived_invariants(eta(f)).D``.  delta_f is always computed from f
+    itself, so the identity is checked either way.
+    """
     delta = delta_f(f)
-    D = derived_invariants(eta(f)).D
+    if D is None:
+        D = derived_invariants(eta(f)).D
     if D.is_zero():
         raise DegenerateCover("branch polynomial D_f vanishes identically")
     exps, lead = D.leading_term()
@@ -221,7 +227,7 @@ def is_perfect_cube(bc: BinaryCubic) -> bool:
 # Smoothness
 
 
-def branch_repeated_part(f: TernaryCubic) -> MPoly | None:
+def branch_repeated_part(f: TernaryCubic, D: MPoly | None = None) -> MPoly | None:
     """Repeated part of the branch sextic homogenize(D_f, 6), or None.
 
     The repeated factors of the sextic are the lines p0*x0 + p1*x1 + p2*x2 of
@@ -231,11 +237,13 @@ def branch_repeated_part(f: TernaryCubic) -> MPoly | None:
     has a repeated component.  A sextic that ``squarefree_line`` certifies
     has part 1; only the others, every singular f and the rare smooth f
     whose dual points of the listed lines lie on f or a flex tangent, take
-    the gradient gcd of ``repeated_part``.
+    the gradient gcd of ``repeated_part``.  ``D`` is D_f when the caller
+    has it already; it defaults to ``derived_invariants(eta(f)).D``.
     """
     if f.is_zero():
         raise DegenerateCubic("smoothness of the zero cubic")
-    D = derived_invariants(eta(f)).D
+    if D is None:
+        D = derived_invariants(eta(f)).D
     if D.is_zero():
         return None
     # Homogenized, so that a repeated x0 (singular point (1 : 0 : 0)) counts.
@@ -277,7 +285,11 @@ def total_branch_locus(f: TernaryCubic) -> TotalBranchLocus:
     center, whose root for a line has the intersection multiplicity of f
     and Hess(f) along it.  The flexes of a smooth f are simple and a line
     through two of them holds a third, so every root has multiplicity 1 or
-    3, and a squarefree eliminant certifies nine distinct flexes.  Such a
+    3, and a squarefree eliminant certifies nine distinct flexes.  It is
+    certified modulo a prime by ``squarefree_mod_p``; only an eliminant
+    that test does not decide (a center on a line through three flexes, or
+    a prime dividing its discriminant) takes ``squarefree_decomposition``,
+    whose multiplicities 1 and 3 move on to the next center.  Such a
     center fails only on f, on Hess(f) or on the 12 lines through three
     flexes, a curve of degree 18, so one of ``PROJECTION_CENTERS`` is good.
     Anything else (a zero eliminant, another multiplicity, no good center)
@@ -302,7 +314,11 @@ def total_branch_locus(f: TernaryCubic) -> TotalBranchLocus:
         elim = resultant(dehomogenize(g, U_VARS), dehomogenize(h, U_VARS), "u2")
         if elim.is_zero():
             raise NotSmooth("the cubic shares a component with its Hessian")
-        mults = {mult for _, mult in squarefree_decomposition(elim).parts}
+        coeffs = to_univariate(elim, "u1")
+        if squarefree_mod_p(coeffs):
+            mults = {1}
+        else:
+            mults = {mult for _, mult in squarefree_decomposition(elim).parts}
         if elim.total_degree() < 9:
             mults.add(9 - elim.total_degree())
         if mults == {1}:
@@ -312,7 +328,7 @@ def total_branch_locus(f: TernaryCubic) -> TotalBranchLocus:
     else:
         raise NotSmooth("no projection center separates nine flexes")
 
-    directions = [(Fraction(1), t) for t in rational_roots(to_univariate(elim, "u1"))]
+    directions = [(Fraction(1), t) for t in rational_roots(coeffs)]
     if elim.total_degree() == 8:
         directions.append((Fraction(0), Fraction(1)))
     gradient = [fp.partial_derivative(v) for v in V_VARS]

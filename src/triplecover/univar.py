@@ -9,8 +9,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as int_gcd
 
+from . import polyring
 from .errors import TripleCoverError
-from .polyring import MPoly, T_VARS, squarefree_part
+from .polyring import MPoly, T_VARS, _squarefree_mod, _trim_mod, squarefree_part
 
 
 def to_univariate(p: MPoly, var):
@@ -91,6 +92,24 @@ def _clear_denominators(coeffs):
     return ints
 
 
+def squarefree_mod_p(coeffs):
+    """Is the nonzero univariate polynomial with these ascending rational
+    coefficients certified squarefree modulo ``polyring.SQUAREFREE_MODULUS``?
+
+    The primitive integer multiple f is reduced modulo the prime p.  When
+    the reduction keeps f's degree (p does not divide the leading
+    coefficient) and is coprime to its derivative, f has no repeated factor
+    over Q: by Gauss's lemma a factorization f = g^2 h over Q is one over
+    Z, and it reduces to one with a square factor of the same degree.
+    False means only that the test does not decide: f may have a repeated
+    root, or p may divide its discriminant.
+    """
+    m = polyring.SQUAREFREE_MODULUS
+    ints = _clear_denominators(coeffs)
+    reduced = _trim_mod(ints, m)
+    return len(reduced) == len(ints) and _squarefree_mod(reduced, m)
+
+
 def _eval_mod(ints, at, m):
     acc = 0
     for c in reversed(ints):
@@ -134,6 +153,8 @@ def rational_roots(coeffs):
     by Newton's method; once p^k exceeds 2 |lead r| the symmetric residue
     of lead * r mod p^k is that integer itself.  Each candidate is checked
     exactly against the input, so no root is dropped and none invented.
+    A polynomial that ``squarefree_mod_p`` certifies is its own squarefree
+    part; only the others take the gcd of ``squarefree_part``.
     """
     coeffs = [Fraction(c) for c in coeffs]
     while coeffs and not coeffs[-1]:
@@ -142,9 +163,12 @@ def rational_roots(coeffs):
         raise TripleCoverError("rational_roots of the zero polynomial")
     if len(coeffs) == 1:
         return []
-    t = T_VARS[0]
-    sqfree = squarefree_part(from_univariate(coeffs, T_VARS, t))
-    ints = _clear_denominators(to_univariate(sqfree, t))
+    if squarefree_mod_p(coeffs):
+        ints = _clear_denominators(coeffs)
+    else:
+        t = T_VARS[0]
+        sqfree = squarefree_part(from_univariate(coeffs, T_VARS, t))
+        ints = _clear_denominators(to_univariate(sqfree, t))
     lead = ints[-1]
     # |lead * r| < |lead| + max |a_i| (Cauchy), so residues mod a modulus
     # above twice that bound determine lead * r.

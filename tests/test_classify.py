@@ -15,7 +15,7 @@ from triplecover.classify import (
     classify,
     cross_validate,
 )
-from triplecover import polyring
+from triplecover import cover, etamap, polyring, univar
 from triplecover.cover import AffineCoverData, branch_decomposition, derived_invariants
 from triplecover.errors import DegenerateCover, DegenerateCubic
 from triplecover.etamap import TernaryCubic, eta
@@ -279,6 +279,72 @@ def test_classify_raw_eta_random_round_trip():
             continue
         assert raw.case == direct.case
         checked += 1
+
+
+def _seed91_cubics():
+    """The five random flag cubics of the raw round trip above; each is
+    smooth, and none raises a degeneracy."""
+    rng = random.Random(91)
+    cubics = []
+    while len(cubics) < 5:
+        f = TernaryCubic(tuple(Fraction(rng.randint(-5, 5)) for _ in range(10)))
+        if not f.is_zero():
+            cubics.append(f)
+    return cubics
+
+
+def _verdict(report):
+    return (report.case, report.branch_form, report.decomposition,
+            report.total_branch)
+
+
+def test_classify_same_verdict_when_the_prime_certifies_nothing(monkeypatch):
+    """Modulo 3 most modular certificates fail, ``squarefree_line``'s
+    included, so every exact fallback runs; the verdicts are the same."""
+    specs = [CoverSpec.flag(f) for f in _seed91_cubics()]
+    specs += [CoverSpec.flag(FERMAT),
+              CoverSpec.torus(TorusPair(x0 * x1, x2 ** 3 - x0 ** 3))]
+    certified = [_verdict(classify(spec)) for spec in specs]
+    monkeypatch.setattr(polyring, "SQUAREFREE_MODULUS", 3)
+    assert [_verdict(classify(spec)) for spec in specs] == certified
+
+
+def _counting(monkeypatch, module, name, seen, check=None):
+    """Replace ``module.name`` with a wrapper that appends each argument
+    tuple to ``seen`` (after ``check`` on them, when given)."""
+    inner = getattr(module, name)
+
+    def counting(*args):
+        if check is not None:
+            check(*args)
+        seen.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, counting)
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_classify_flag_work_count(monkeypatch, index):
+    """A flag classification builds D_f once, never takes a squarefree
+    part in ``rational_roots`` and decomposes only eliminants with a part
+    of multiplicity 3 (a center on a line through three flexes, as the
+    first center is for the Fermat cubic)."""
+    f = (_seed91_cubics() + [FERMAT])[index]
+
+    def has_triple_part(elim):
+        parts = polyring.squarefree_decomposition(elim).parts
+        assert 3 in {mult for _, mult in parts}
+
+    invariants, parts, decompositions = [], [], []
+    for module in (cover, etamap):
+        _counting(monkeypatch, module, "derived_invariants", invariants)
+    _counting(monkeypatch, univar, "squarefree_part", parts)
+    _counting(monkeypatch, etamap, "squarefree_decomposition", decompositions,
+              has_triple_part)
+    assert classify(CoverSpec.flag(f)).case == CASE_FLAG_BUNDLE
+    assert len(invariants) == 1
+    assert parts == []
+    assert len(decompositions) == (1 if f == FERMAT else 0)
 
 
 def _moved(point, perm):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from triplecover import cover, polyring
 from triplecover.cover import (
     AffineCoverData,
     branch_decomposition,
@@ -18,6 +19,7 @@ from triplecover.cover import (
     split_branch,
 )
 from triplecover.errors import DegenerateCover, MultiplicityTooHigh, TripleCoverError
+from triplecover.etamap import TernaryCubic, eta
 from triplecover.polyring import (
     MPoly,
     T_VARS,
@@ -135,6 +137,33 @@ def test_branch_decomposition_with_double_part():
     x2 = MPoly.variable(X_VARS, "x2")
     assert dec.T == (x0 * (x1 + x2)).monic()
     assert dec.unit * dec.S * dec.T ** 2 == dec.degree6_form
+
+
+@pytest.mark.parametrize("cov", [
+    FERMAT,
+    eta(TernaryCubic((1, 2, 0, -1, 3, 0, 2, 1, 0, 1))),
+], ids=["fermat", "dense"])
+def test_branch_decomposition_certifies_on_a_line(monkeypatch, cov):
+    """A squarefree sextic that a line certifies is split with T = 1 and no
+    squarefree decomposition; with no lines listed, Yun's decomposition
+    gives the same split."""
+    D = derived_invariants(cov).D
+    decomposed = []
+    inner = cover.squarefree_decomposition
+
+    def counting(p):
+        decomposed.append(p)
+        return inner(p)
+
+    monkeypatch.setattr(cover, "squarefree_decomposition", counting)
+    dec = branch_decomposition(D)
+    assert decomposed == []
+    assert dec.T == MPoly.constant(X_VARS, 1)
+    monkeypatch.setattr(polyring, "SQUAREFREE_LINES", ())
+    yun = branch_decomposition(D)
+    assert len(decomposed) == 1
+    assert (dec.S, dec.T, dec.unit, dec.degree6_form) == \
+        (yun.S, yun.T, yun.unit, yun.degree6_form)
 
 
 def test_branch_decomposition_degree_balance():

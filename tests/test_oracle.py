@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 from sympy.polys.subresultants_qq_zz import sylvester  # noqa: E402
 
+from triplecover import polyring  # noqa: E402
 from triplecover.etamap import linear_factor  # noqa: E402
 from triplecover.polyring import (  # noqa: E402
     MPoly,
@@ -23,7 +25,7 @@ from triplecover.polyring import (  # noqa: E402
     squarefree_decomposition,
     squarefree_line,
 )
-from triplecover.univar import rational_roots  # noqa: E402
+from triplecover.univar import rational_roots, squarefree_mod_p  # noqa: E402
 
 GENS = {name: sympy.Symbol(name) for name in U_VARS + V_VARS + X4_VARS + ("x",)}
 
@@ -258,3 +260,41 @@ def test_rational_roots_finds_planted(roots, repeats, scale, free):
         for _ in range(1 + extra):
             coeffs = times_root(coeffs, r)
     assert rational_roots(coeffs) == sorted(set(roots))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    repeated=st.booleans(),
+    modulus=st.sampled_from([3, 5, 7, 2 ** 31 - 1]),
+)
+def test_squarefree_mod_p_agrees_with_sympy(seed, repeated, modulus):
+    """A random integer polynomial of degree up to 12, with a planted
+    repeated factor in half the cases: whenever the modular test certifies
+    it, sympy finds it squarefree, and its rational roots are sympy's."""
+    rng = random.Random(seed)
+
+    def factor(deg):
+        coeffs = [Fraction(rng.randint(-20, 20)) for _ in range(deg)]
+        return coeffs + [Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))]
+
+    def times(a, b):
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    coeffs = factor(rng.randint(0, 6))
+    if repeated:
+        root = factor(rng.randint(1, 3))
+        coeffs = times(coeffs, times(root, root))
+    else:
+        coeffs = times(coeffs, factor(rng.randint(1, 6)))
+    x = GENS["x"]
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(coeffs)], x, domain="QQ")
+    with mock.patch.object(polyring, "SQUAREFREE_MODULUS", modulus):
+        if squarefree_mod_p(coeffs):
+            assert all(m == 1 for _, m in sympy.sqf_list(poly)[1])
+        assert rational_roots(coeffs) == univariate_roots_oracle(coeffs)

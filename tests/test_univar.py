@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from triplecover import polyring, univar
 from triplecover.errors import TripleCoverError
 from triplecover.polyring import MPoly, T_VARS, U_VARS
 from triplecover.univar import (
@@ -17,6 +18,7 @@ from triplecover.univar import (
     from_univariate,
     interpolate,
     rational_roots,
+    squarefree_mod_p,
     to_univariate,
 )
 
@@ -142,6 +144,60 @@ def test_rational_roots_skip_bad_primes():
     # Leading coefficient 15 = 3 * 5: the prime is 7.
     coeffs = planted([Fraction(1, 3), Fraction(2, 5), Fraction(7)], scale=15)
     assert _simple_roots_mod_p([int(c) for c in coeffs])[0] == 7
+
+
+P = 2 ** 31 - 1  # polyring.SQUAREFREE_MODULUS
+
+
+def _counting_squarefree_part(monkeypatch):
+    """A list that grows by one for each ``squarefree_part`` call that
+    ``rational_roots`` makes."""
+    seen = []
+    inner = univar.squarefree_part
+
+    def counting(p):
+        seen.append(p)
+        return inner(p)
+
+    monkeypatch.setattr(univar, "squarefree_part", counting)
+    return seen
+
+
+@pytest.mark.parametrize("roots, scale, certified", [
+    # Squarefree over Q with a double root mod p: p^2 divides the
+    # discriminant.
+    ([1, 1 + P], 1, False),
+    # (p t - 1)(t - 2): p divides the leading coefficient.
+    ([Fraction(1, P), 2], P, False),
+    # A planted triple root next to a simple one.
+    ([3, 3, 3, -5], 1, False),
+    # Coefficients above 10^40, squarefree.
+    ([10 ** 41 + 7, -(10 ** 40) - 3, Fraction(10 ** 42 + 1, 3 ** 30)], 1, True),
+    # Coefficients above 10^40, with a double root.
+    ([10 ** 41 + 7, 10 ** 41 + 7, -(10 ** 40) - 3], 1, False),
+])
+def test_rational_roots_modular_certificate(monkeypatch, roots, scale, certified):
+    """Each planted root comes back once, whether the prime certifies the
+    polynomial squarefree or the exact squarefree part is taken."""
+    assert polyring.SQUAREFREE_MODULUS == P
+    coeffs = planted(roots, scale=scale)
+    assert squarefree_mod_p(coeffs) == certified
+    seen = _counting_squarefree_part(monkeypatch)
+    assert rational_roots(coeffs) == sorted(set(Fraction(r) for r in roots))
+    assert len(seen) == (0 if certified else 1)
+
+
+def test_squarefree_mod_p_reads_the_modulus_at_call_time(monkeypatch):
+    # (t - 1)(t - 4) is squarefree modulo every prime but 3.
+    coeffs = planted([1, 4])
+    assert squarefree_mod_p(coeffs)
+    monkeypatch.setattr(polyring, "SQUAREFREE_MODULUS", 3)
+    assert not squarefree_mod_p(coeffs)
+    assert rational_roots(coeffs) == [1, 4]
+    # A constant is squarefree; so is t^3 - t + 1 modulo 3, whose
+    # derivative 3 t^2 - 1 reduces to -1.
+    assert squarefree_mod_p([Fraction(5)])
+    assert squarefree_mod_p([1, -1, 0, 1])
 
 
 def test_classify_without_mpmath():
