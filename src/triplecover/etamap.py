@@ -27,19 +27,15 @@ from .polyring import (
     UV_VARS,
     V_VARS,
     X_VARS,
-    center_matrix,
-    dehomogenize,
     divides,
     homogenize,
-    lift_direction,
-    linear_change,
     projective_point,
     repeated_part,
-    resultant,
     squarefree_decomposition,
     squarefree_line,
 )
-from .univar import rational_roots, squarefree_mod_p, to_univariate
+from .univar import (project, projected_points, rational_roots, squarefree_mod_p,
+                     to_univariate)
 
 # The monomials of a ternary cubic with the binomial scale of t1..t10.
 _MONOMIALS = (
@@ -280,23 +276,21 @@ def total_branch_locus(f: TernaryCubic) -> TotalBranchLocus:
     """The nine cusps of the dual sextic of a smooth cubic f.
 
     The cusps are the tangent lines grad f(p) at the nine flexes p of f, the
-    points of f = Hess(f) = 0.  Projected from a center off both curves,
-    they give an eliminant of degree 9 on the pencil of lines through the
-    center, whose root for a line has the intersection multiplicity of f
-    and Hess(f) along it.  The flexes of a smooth f are simple and a line
-    through two of them holds a third, so every root has multiplicity 1 or
-    3, and a squarefree eliminant certifies nine distinct flexes.  It is
-    certified modulo a prime by ``squarefree_mod_p``; only an eliminant
-    that test does not decide (a center on a line through three flexes, or
-    a prime dividing its discriminant) takes ``squarefree_decomposition``,
-    whose multiplicities 1 and 3 move on to the next center.  Such a
-    center fails only on f, on Hess(f) or on the 12 lines through three
-    flexes, a curve of degree 18, so one of ``PROJECTION_CENTERS`` is good.
-    Anything else (a zero eliminant, another multiplicity, no good center)
-    shows that f is singular and raises NotSmooth.  The flex on a line with
-    a rational root is unique, hence rational.  Hess(f) vanishes exactly
-    when f is a cone (three concurrent lines, a double or a triple line),
-    which is rejected before any projection.
+    points of f = Hess(f) = 0, projected by ``univar.project``.  The flexes
+    of a smooth f are simple and a line through two of them holds a third,
+    so every direction has multiplicity 1 or 3, and a squarefree eliminant
+    of degree 9, or 8 with the direction (0 : 1), certifies nine distinct
+    flexes, one on each direction.  It is certified modulo a prime by
+    ``squarefree_mod_p``; only an eliminant that test does not decide (a
+    center on a line through three flexes, or a prime dividing its
+    discriminant) takes ``squarefree_decomposition``, whose multiplicities
+    1 and 3 move on to the next center.  Such a center fails only on f, on
+    Hess(f) or on the 12 lines through three flexes, a curve of degree 18,
+    so one of ``PROJECTION_CENTERS`` is good.  Anything else (a zero
+    eliminant, another multiplicity, no good center) shows that f is
+    singular and raises NotSmooth.  Hess(f) vanishes exactly when f is a
+    cone (three concurrent lines, a double or a triple line), which is
+    rejected before any projection.
     """
     if f.is_zero():
         raise DegenerateCubic("total branch locus of the zero cubic")
@@ -305,17 +299,13 @@ def total_branch_locus(f: TernaryCubic) -> TotalBranchLocus:
     if hess.is_zero():
         raise NotSmooth("the cubic is a cone: its Hessian vanishes identically")
     for center in PROJECTION_CENTERS:
-        m = center_matrix(center)
-        g, h = linear_change(fp, m), linear_change(hess, m)
-        if not (g.terms.get((0, 0, 3)) and h.terms.get((0, 0, 3))):
+        projection = project(fp, hess, center)
+        if projection is None:
             continue
-        # The eliminant on the directions (1 : t); it falls short of degree
-        # 9 by the multiplicity of the direction (0 : 1).
-        elim = resultant(dehomogenize(g, U_VARS), dehomogenize(h, U_VARS), "u2")
+        _, _, _, elim = projection
         if elim.is_zero():
             raise NotSmooth("the cubic shares a component with its Hessian")
-        coeffs = to_univariate(elim, "u1")
-        if squarefree_mod_p(coeffs):
+        if squarefree_mod_p(to_univariate(elim, "u1")):
             mults = {1}
         else:
             mults = {mult for _, mult in squarefree_decomposition(elim).parts}
@@ -328,15 +318,9 @@ def total_branch_locus(f: TernaryCubic) -> TotalBranchLocus:
     else:
         raise NotSmooth("no projection center separates nine flexes")
 
-    directions = [(Fraction(1), t) for t in rational_roots(coeffs)]
-    if elim.total_degree() == 8:
-        directions.append((Fraction(0), Fraction(1)))
     gradient = [fp.partial_derivative(v) for v in V_VARS]
-    cusps = []
-    for w0, w1 in directions:
-        w = (w0, w1, lift_direction(g, h, w0, w1))
-        flex = {v: sum(m[i][j] * w[j] for j in range(3)) for i, v in enumerate(V_VARS)}
-        cusps.append(projective_point(d.evaluate(flex) for d in gradient))
+    cusps = [projective_point(d.evaluate(dict(zip(V_VARS, flex))) for d in gradient)
+             for flex, _ in projected_points(projection)]
     # Chart order: the points (1, a, b) by (a, b), then (0, 1, c), (0, 0, 1).
     cusps.sort(key=lambda p: (p.index(1), p))
     return TotalBranchLocus(9, tuple(cusps), {"center": center, "eliminant": elim})

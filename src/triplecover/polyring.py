@@ -481,12 +481,6 @@ PROJECTION_CENTERS = tuple(
 CHART_PERMS = ((0, 1, 2), (1, 0, 2), (2, 1, 0))
 
 
-def center_matrix(center):
-    """The shear M with M * (0, 0, 1) = center, for a center (a, b, 1)."""
-    a, b, _ = center
-    return ((1, 0, a), (0, 1, b), (0, 0, 1))
-
-
 def lift_direction(g: MPoly, h: MPoly, w0, w1):
     """The w2 of the one common point (w0 : w1 : w2) of the ternary forms
     g = h = 0 on the line through (0 : 0 : 1) and (w0 : w1 : 0), or None
@@ -784,10 +778,8 @@ def squarefree_line(form: MPoly):
         raise DegenerateCover("squarefree line of zero")
     d = form.total_degree()
     m = SQUAREFREE_MODULUS
-    scale = math.lcm(*(c.denominator for c in form.terms.values()))
-    ints = {e: c.numerator * (scale // c.denominator) for e, c in form.terms.items()}
-    content = math.gcd(*ints.values())
-    ints = {e: c // content % m for e, c in ints.items()}
+    ints = _clear_denominators(form.terms.values())
+    ints = {e: c % m for e, c in zip(form.terms, ints)}
     for a, b in SQUAREFREE_LINES:
         powers = [[1]]  # powers[k]: (a + b*t)^k modulo m, ascending in t
         for _ in range(d):
@@ -802,6 +794,15 @@ def squarefree_line(form: MPoly):
         if len(restricted) >= max(d, 1) and _squarefree_mod(restricted, m):
             return a, b
     return None
+
+
+def _clear_denominators(coeffs):
+    """The primitive integer multiple of nonzero rational coefficients."""
+    coeffs = list(coeffs)
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+    content = math.gcd(*ints)
+    return [c // content for c in ints]
 
 
 def _trim_mod(coeffs, m):

@@ -18,20 +18,17 @@ from .polyring import (
     U_VARS,
     X4_VARS,
     X_VARS,
-    center_matrix,
     dehomogenize,
     divides,
     gcd,
-    lift_direction,
-    linear_change,
-    projective_point,
+    homogenize,
     radical_divides,
     repeated_part,
     resultant,
     squarefree_line,
     squarefree_part,
 )
-from .univar import derivative, eval_coeffs, rational_roots
+from .univar import project, projected_points
 
 
 @dataclass(frozen=True)
@@ -191,69 +188,28 @@ class IntersectionLocus:
 def total_branch_points(pair: TorusPair) -> IntersectionLocus:
     """Intersection of the conic G2 = 0 and the cubic G3 = 0.
 
-    Projects from the first of ``PROJECTION_CENTERS`` that lies off both
-    curves and at which every rational direction (a rational root of the
-    resultant in x2) holds a single intersection point, which is then
-    rational.  The multiplicity of a direction's eliminant root is the sum
-    of the intersection multiplicities of the points on it (the projection
-    proof of Bezout's theorem), so here it is that of the one point.  The
+    Projected by ``univar.project`` from the first of ``PROJECTION_CENTERS``
+    at which every rational direction holds a single intersection point,
+    which is then rational and has the multiplicity of its direction.  The
     centers that fail lie on G2, on G3 or on one of the at most 15 lines
     through two of the 6 points: a curve of degree at most 20, which misses
-    one of the centers.
+    one of the centers.  A zero eliminant means that G2 and G3 share a
+    component.
     """
     if pair.G2.is_zero() or pair.G3.is_zero():
         raise CommonComponent("a zero form has no finite intersection")
-    if not gcd(pair.G2, pair.G3).is_constant():
-        raise CommonComponent("G2 and G3 share a component")
     for center in PROJECTION_CENTERS:
-        m = center_matrix(center)
-        g2 = linear_change(pair.G2, m)
-        g3 = linear_change(pair.G3, m)
-        lead2 = g2.terms.get((0, 0, 2))
-        lead3 = g3.terms.get((0, 0, 3))
-        if not lead2 or not lead3:
+        projection = project(pair.G2, pair.G3, center)
+        if projection is None:
             continue
-        # Constant leading coefficients in x2 and no common component: the
-        # resultant is a nonzero binary sextic in (x0, x1).
-        res = resultant(g2, g3, "x2")
-        # res = sum_k c_k x0^(6-k) x1^k; directions with x0 != 0 are roots
-        # of sum c_k t^k with t = x1/x0, and (0 : 1) has multiplicity
-        # 6 - deg_t when the x1^6 coefficient vanishes.
-        t_poly = [res.terms.get((6 - k, k, 0), Fraction(0)) for k in range(7)]
-        t_deg = max(k for k, c in enumerate(t_poly) if c)
-        directions = [
-            ((Fraction(1), root), _root_multiplicity(t_poly, root))
-            for root in rational_roots(t_poly)
-        ]
-        if t_deg < 6:
-            directions.append(((Fraction(0), Fraction(1)), 6 - t_deg))
-        points = []
-        for (x0v, x1v), mult in directions:
-            x2v = lift_direction(g2, g3, x0v, x1v)
-            if x2v is None:
-                break
-            original = _apply_matrix(m, (x0v, x1v, x2v))
-            points.append((projective_point(original), mult))
-        else:
+        m, _, _, elim = projection
+        if elim.is_zero():
+            raise CommonComponent("G2 and G3 share a component")
+        points = projected_points(projection)
+        if points is not None:
             return IntersectionLocus(
                 count_with_multiplicity=6,
                 rational_points=tuple(sorted(points)),
-                eliminants={"resultant_x2": res, "matrix": m},
+                eliminants={"resultant_x2": homogenize(elim, 6, X_VARS), "matrix": m},
             )
     raise IndeterminateCount("no usable projection center found")
-
-
-def _root_multiplicity(coeffs, root):
-    """Multiplicity of a root of a nonzero ascending coefficient list: the
-    number of derivatives, from the 0th on, that vanish there."""
-    mult = 0
-    while any(coeffs) and not eval_coeffs(coeffs, root):
-        coeffs = derivative(coeffs)
-        mult += 1
-    return mult
-
-
-def _apply_matrix(m, point):
-    return tuple(
-        sum(Fraction(m[i][j]) * point[j] for j in range(3)) for i in range(3)
-    )

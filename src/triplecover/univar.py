@@ -1,4 +1,6 @@
-"""Univariate helpers: coefficient lists, interpolation, rational roots.
+"""Univariate helpers: coefficient lists, interpolation, rational roots, and
+the projection of two plane curves onto the univariate eliminant of their
+common points.
 
 Everything is exact: rational roots come from p-adic lifting and are checked
 by evaluation, with no floating point anywhere.
@@ -7,11 +9,12 @@ by evaluation, with no floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
 
 from . import polyring
 from .errors import TripleCoverError
-from .polyring import MPoly, T_VARS, _squarefree_mod, _trim_mod, squarefree_part
+from .polyring import (MPoly, T_VARS, U_VARS, _clear_denominators, _squarefree_mod,
+                       _trim_mod, dehomogenize, lift_direction, linear_change,
+                       projective_point, resultant, squarefree_part)
 
 
 def to_univariate(p: MPoly, var):
@@ -50,6 +53,16 @@ def derivative(coeffs):
     return [k * c for k, c in enumerate(coeffs)][1:]
 
 
+def root_multiplicity(coeffs, root):
+    """Multiplicity of a root of a nonzero ascending coefficient list: the
+    number of derivatives, from the 0th on, that vanish there."""
+    mult = 0
+    while any(coeffs) and not eval_coeffs(coeffs, root):
+        coeffs = derivative(coeffs)
+        mult += 1
+    return mult
+
+
 def interpolate(points, values):
     """Lagrange interpolation; returns the coefficient list."""
     n = len(points)
@@ -77,19 +90,6 @@ def interpolate(points, values):
     while len(coeffs) > 1 and not coeffs[-1]:
         coeffs.pop()
     return coeffs
-
-
-def _clear_denominators(coeffs):
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // int_gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in coeffs]
-    content = 0
-    for c in ints:
-        content = int_gcd(content, c)
-    if content > 1:
-        ints = [c // content for c in ints]
-    return ints
 
 
 def squarefree_mod_p(coeffs):
@@ -188,3 +188,58 @@ def rational_roots(coeffs):
         if not eval_coeffs(coeffs, candidate):
             roots.append(candidate)
     return sorted(roots)
+
+
+# ---------------------------------------------------------------------------
+# Projection of the common points of two plane curves
+
+
+def project(g: MPoly, h: MPoly, center):
+    """(M, g(M x), h(M x), eliminant) for two ternary forms projected from a
+    center (a, b, 1), or None when the center lies on g = 0 or on h = 0.
+
+    The shear M = ((1, 0, a), (0, 1, b), (0, 0, 1)) moves the center to
+    (0 : 0 : 1), so the lines through it are the directions (w0 : w1).  With
+    the center off both curves, g(M x) and h(M x) have constant leading
+    coefficients in x2, so setting x0 = 1 commutes with their resultant in
+    x2: the eliminant resultant(g(M x)(1, u1, u2), h(M x)(1, u1, u2), "u2")
+    is a polynomial in u1, zero exactly when g and h share a component.
+    Otherwise (the projection proof of Bezout's theorem) the multiplicity
+    of a root t is the sum of the intersection multiplicities of the common
+    points on the direction (1 : t), and the eliminant falls short of
+    degree deg g * deg h by that sum on the direction (0 : 1).
+    """
+    a, b, _ = center
+    m = ((1, 0, a), (0, 1, b), (0, 0, 1))
+    g, h = linear_change(g, m), linear_change(h, m)
+    if not (g.terms.get((0, 0, g.total_degree()))
+            and h.terms.get((0, 0, h.total_degree()))):
+        return None
+    return m, g, h, resultant(dehomogenize(g, U_VARS), dehomogenize(h, U_VARS), "u2")
+
+
+def projected_points(projection):
+    """The rational common points of a ``project`` result with a nonzero
+    eliminant, each as (point, multiplicity of its direction), or None when
+    a rational direction holds more than one common point.
+
+    The rational directions are (1 : t) for the rational roots t of the
+    eliminant, and (0 : 1) when its degree falls short.  ``lift_direction``
+    lifts each to its one common point, which is then rational, and M maps
+    it back.
+    """
+    m, g, h, elim = projection
+    coeffs = to_univariate(elim, "u1")
+    directions = [((Fraction(1), t), root_multiplicity(coeffs, t))
+                  for t in rational_roots(coeffs)]
+    deficit = g.total_degree() * h.total_degree() - elim.total_degree()
+    if deficit:
+        directions.append(((Fraction(0), Fraction(1)), deficit))
+    points = []
+    for (w0, w1), mult in directions:
+        w2 = lift_direction(g, h, w0, w1)
+        if w2 is None:
+            return None
+        point = [sum(r * c for r, c in zip(row, (w0, w1, w2))) for row in m]
+        points.append((projective_point(point), mult))
+    return points

@@ -1,5 +1,6 @@
 """Tests for the cover classifier and the jet-based cusp criterion."""
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from triplecover.classify import (
     classify,
     cross_validate,
 )
-from triplecover import cover, etamap, polyring, univar
+from triplecover import cover, etamap, polyring, torus, univar
 from triplecover.cover import AffineCoverData, branch_decomposition, derived_invariants
 from triplecover.errors import DegenerateCover, DegenerateCubic
 from triplecover.etamap import TernaryCubic, eta
@@ -467,3 +468,17 @@ def test_cross_validate_rechecks_squarefree_line():
         "S is not squarefree on its certificate line (a, b) = (1, -1) "
         "of x2 = a*x0 + b*x1"
     ]
+
+
+def test_classify_torus_gcd_of_the_pair_work_count(monkeypatch):
+    """``total_branch_points`` reads a shared component off a zero
+    eliminant and takes no gcd(G2, G3); a torus classification takes two,
+    in ``condition3`` and for the split S + 2T."""
+    pair = TorusPair(x0 * x1, x2 ** 3 - x0 ** 3)
+    calls = []
+    for module in (torus, importlib.import_module("triplecover.classify")):
+        _counting(monkeypatch, module, "gcd", calls)
+    torus.total_branch_points(pair)
+    assert calls == []
+    assert classify(CoverSpec.torus(pair)).case == CASE_CUBIC_SURFACE
+    assert calls.count((pair.G2, pair.G3)) == 2

@@ -206,15 +206,17 @@ def test_total_branch_locus_rejects_singular(monkeypatch):
     # Hess(f) = 0 exactly for cones, and those and the zero cubic are
     # rejected before any projection.
     projections = []
-    inner = etamap.linear_change
-    monkeypatch.setattr(etamap, "linear_change",
-                        lambda p, m: projections.append(m) or inner(p, m))
+    inner = etamap.project
+    monkeypatch.setattr(etamap, "project",
+                        lambda g, h, c: projections.append(c) or inner(g, h, c))
     for cone in (v0 * v1 * (v0 + v1), v0 ** 2 * v1, (v0 + 2 * v1 - v2) ** 3):
         with pytest.raises(NotSmooth, match="cone"):
             total_branch_locus(TernaryCubic.from_poly(cone))
     with pytest.raises(DegenerateCubic):
         total_branch_locus(TernaryCubic((0,) * 10))
     assert projections == []
+    total_branch_locus(FERMAT)
+    assert projections
 
 
 def test_total_branch_locus_perturbed_fermat():

@@ -15,6 +15,8 @@ from triplecover.polyring import (
     divides,
     gcd,
     homogenize,
+    linear_change,
+    resultant,
     squarefree_part,
 )
 from triplecover.torus import (
@@ -27,6 +29,7 @@ from triplecover.torus import (
     cubic_surface_form,
     total_branch_points,
 )
+from triplecover.univar import project, projected_points
 
 x0 = MPoly.variable(X_VARS, "x0")
 x1 = MPoly.variable(X_VARS, "x1")
@@ -275,6 +278,41 @@ def test_total_branch_points_on_curve_vanish():
     assert seen >= 1
 
 
+def test_projected_points_of_accept_pair():
+    """From a center off both curves, the rational points come back with
+    the multiplicities of their directions, and the chart eliminant is the
+    resultant in x2 with x0 = 1."""
+    projection = project(ACCEPT_PAIR.G2, ACCEPT_PAIR.G3, (2, 1, 1))
+    m, g, h, elim = projection
+    assert m == ((1, 0, 2), (0, 1, 1), (0, 0, 1))
+    assert g == linear_change(ACCEPT_PAIR.G2, m)
+    assert h == linear_change(ACCEPT_PAIR.G3, m)
+    assert homogenize(elim, 6, X_VARS) == resultant(g, h, "x2")
+    F = Fraction
+    assert sorted(projected_points(projection)) == [
+        ((F(0), F(1), F(0)), 3),
+        ((F(1), F(0), F(1)), 1),
+    ]
+
+
+def test_project_rejects_a_center_on_a_curve():
+    assert project(ACCEPT_PAIR.G2, ACCEPT_PAIR.G3, (0, 0, 1)) is None  # on G2
+    assert project(ACCEPT_PAIR.G2, ACCEPT_PAIR.G3, (1, 1, 1)) is None  # on G3
+
+
+def test_project_shared_component_gives_zero_eliminant():
+    _, _, _, elim = project(x0 * x1, x0 * x1 * x2, (1, 1, 1))
+    assert elim.is_zero()
+
+
+def test_projected_points_refuses_a_shared_direction():
+    """From (0 : 0 : 1), (1 : 0 : 0) and (1 : 0 : 1) lie on one direction."""
+    pair = CHART_DEPENDENT_PAIR
+    projection = project(pair.G2, pair.G3, (0, 0, 1))
+    assert projection is not None
+    assert projected_points(projection) is None
+
+
 def _multiplicities_in_chart(pair, perm):
     """Rational points and multiplicities of the pair in the chart that
     ``perm`` moves to x0 != 0, mapped back to the pair's coordinates."""
@@ -289,12 +327,17 @@ def _multiplicities_in_chart(pair, perm):
     return back
 
 
+# Three rational points: (0 : 1 : 0) of multiplicity 3, (1 : 0 : 0) of
+# multiplicity 2 and (1 : 0 : 1), the last two on one line x1 = 0.
+CHART_DEPENDENT_PAIR = TorusPair(x1 * x0 - x2 ** 2 + x2 * x0,
+                                 x1 * x2 * x0 + x2 ** 3 - x2 ** 2 * x0)
+
+
 @pytest.mark.parametrize("perm", CHART_PERMS)
 def test_total_branch_multiplicities_independent_of_chart(perm):
     """(1 : 0 : 0) shares a direction with (1 : 0 : 1) from some centers;
     its multiplicity 2 must not depend on the chart."""
-    pair = TorusPair(x1 * x0 - x2 ** 2 + x2 * x0,
-                     x1 * x2 * x0 + x2 ** 3 - x2 ** 2 * x0)
+    pair = CHART_DEPENDENT_PAIR
     F = Fraction
     assert _multiplicities_in_chart(pair, perm) == {
         (F(0), F(1), F(0)): 3,

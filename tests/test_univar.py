@@ -1,5 +1,6 @@
 """Tests for univariate conversion, interpolation and rational roots."""
 
+import ast
 import os
 import random
 import subprocess
@@ -215,3 +216,18 @@ def test_classify_without_mpmath():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "FlagBundle"
+
+
+def test_only_univar_projects():
+    """``project`` and ``projected_points`` are the one projection path: no
+    other module of the package calls ``linear_change`` or
+    ``lift_direction``."""
+    for path in Path(univar.__file__).parent.glob("*.py"):
+        if path.name == "univar.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                assert name not in {"linear_change", "lift_direction"}, \
+                    (path.name, node.lineno)
