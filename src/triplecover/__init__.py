@@ -56,7 +56,6 @@ from .etamap import (
     delta_f,
     eta,
     fiber_binary_cubic,
-    has_linear_factor,
     hessian_covariant,
     is_perfect_cube,
     is_smooth_cubic,

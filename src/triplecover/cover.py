@@ -22,7 +22,6 @@ from .polyring import (
     exact_divide,
     homogenize,
     squarefree_decomposition,
-    squarefree_line,
 )
 from .univar import (
     eval_coeffs,
@@ -174,11 +173,9 @@ def split_branch(form: MPoly, T) -> BranchDecomposition:
 
 
 def branch_decomposition(D: MPoly) -> BranchDecomposition:
-    """Split the chart branch polynomial into unit * S * T^2 of degree 6.
-
-    A form that ``squarefree_line`` certifies has T = 1; only the others
-    take ``squarefree_decomposition``.
-    """
+    """Split the chart branch polynomial into unit * S * T^2 of degree 6,
+    T being the product of the factors of multiplicity 2 in the
+    ``squarefree_decomposition`` of the degree-6 form."""
     if D.is_zero():
         raise DegenerateCover("branch polynomial is identically zero")
     if D.total_degree() > 6:
@@ -186,8 +183,6 @@ def branch_decomposition(D: MPoly) -> BranchDecomposition:
             "branch polynomial has chart degree %d > 6" % D.total_degree()
         )
     form = homogenize(D, 6, X_VARS)
-    if squarefree_line(form) is not None:
-        return split_branch(form, 1)
     T = MPoly.constant(X_VARS, 1)
     for factor, mult in squarefree_decomposition(form).parts:
         if mult == 2:

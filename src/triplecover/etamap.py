@@ -32,10 +32,8 @@ from .polyring import (
     projective_point,
     repeated_part,
     squarefree_decomposition,
-    squarefree_line,
 )
-from .univar import (project, projected_points, rational_roots, squarefree_mod_p,
-                     to_univariate)
+from .univar import project, projected_points, rational_roots
 
 # The monomials of a ternary cubic with the binomial scale of t1..t10.
 _MONOMIALS = (
@@ -230,11 +228,11 @@ def branch_repeated_part(f: TernaryCubic, D: MPoly | None = None) -> MPoly | Non
     the singular points p of f, since every line through a singular point
     meets f twice there.  So the part is constant exactly when f is smooth.
     None means that D_f vanishes identically, which happens exactly when f
-    has a repeated component.  A sextic that ``squarefree_line`` certifies
-    has part 1; only the others, every singular f and the rare smooth f
-    whose dual points of the listed lines lie on f or a flex tangent, take
-    the gradient gcd of ``repeated_part``.  ``D`` is D_f when the caller
-    has it already; it defaults to ``derived_invariants(eta(f)).D``.
+    has a repeated component.  ``repeated_part`` certifies the sextic on a
+    line of ``SQUAREFREE_LINES``; only every singular f and the rare smooth
+    f whose dual points of the listed lines lie on f or a flex tangent take
+    its gradient gcd.  ``D`` is D_f when the caller has it already; it
+    defaults to ``derived_invariants(eta(f)).D``.
     """
     if f.is_zero():
         raise DegenerateCubic("smoothness of the zero cubic")
@@ -243,16 +241,12 @@ def branch_repeated_part(f: TernaryCubic, D: MPoly | None = None) -> MPoly | Non
     if D.is_zero():
         return None
     # Homogenized, so that a repeated x0 (singular point (1 : 0 : 0)) counts.
-    form = homogenize(D, 6, X_VARS)
-    if squarefree_line(form) is not None:
-        return MPoly.constant(X_VARS, 1)
-    return repeated_part(form)
+    return repeated_part(homogenize(D, 6, X_VARS))
 
 
 def is_smooth_cubic(f: TernaryCubic) -> bool:
     """Is f smooth?  Exactly when D_f != 0 and homogenize(D_f, 6) is
-    squarefree: certified on a line of ``SQUAREFREE_LINES``, or else by the
-    gradient gcd of ``branch_repeated_part``."""
+    squarefree, as ``branch_repeated_part`` decides."""
     repeated = branch_repeated_part(f)
     return repeated is not None and repeated.is_constant()
 
@@ -280,11 +274,11 @@ def total_branch_locus(f: TernaryCubic) -> TotalBranchLocus:
     of a smooth f are simple and a line through two of them holds a third,
     so every direction has multiplicity 1 or 3, and a squarefree eliminant
     of degree 9, or 8 with the direction (0 : 1), certifies nine distinct
-    flexes, one on each direction.  It is certified modulo a prime by
-    ``squarefree_mod_p``; only an eliminant that test does not decide (a
+    flexes, one on each direction.  ``squarefree_decomposition`` certifies
+    it modulo a prime; only an eliminant that test does not decide (a
     center on a line through three flexes, or a prime dividing its
-    discriminant) takes ``squarefree_decomposition``, whose multiplicities
-    1 and 3 move on to the next center.  Such a center fails only on f, on
+    discriminant) is decomposed exactly, and its multiplicities 1 and 3
+    move on to the next center.  Such a center fails only on f, on
     Hess(f) or on the 12 lines through three flexes, a curve of degree 18,
     so one of ``PROJECTION_CENTERS`` is good.  Anything else (a zero
     eliminant, another multiplicity, no good center) shows that f is
@@ -305,10 +299,7 @@ def total_branch_locus(f: TernaryCubic) -> TotalBranchLocus:
         _, _, _, elim = projection
         if elim.is_zero():
             raise NotSmooth("the cubic shares a component with its Hessian")
-        if squarefree_mod_p(to_univariate(elim, "u1")):
-            mults = {1}
-        else:
-            mults = {mult for _, mult in squarefree_decomposition(elim).parts}
+        mults = {mult for _, mult in squarefree_decomposition(elim).parts}
         if elim.total_degree() < 9:
             mults.add(9 - elim.total_degree())
         if mults == {1}:
@@ -328,14 +319,6 @@ def total_branch_locus(f: TernaryCubic) -> TotalBranchLocus:
 
 # ---------------------------------------------------------------------------
 # Reducibility
-
-
-def has_linear_factor(f: TernaryCubic):
-    """Rational linear factors of f: (flag, witness linear form or None)."""
-    if f.is_zero():
-        raise DegenerateCubic("factor search on the zero cubic")
-    witness = linear_factor(f.as_poly())
-    return witness is not None, witness
 
 
 def linear_factor(p: MPoly):

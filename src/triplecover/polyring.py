@@ -4,6 +4,13 @@ Coefficients are exact ``fractions.Fraction`` values, monomials are exponent
 tuples over a fixed ordered variable set, and the canonical term order is
 graded lexicographic.  Everything downstream (cover data, discriminants,
 branch forms) is built on this module.
+
+The repeated-factor primitives ``repeated_part``, ``squarefree_part`` and
+``squarefree_decomposition`` first try to certify their input squarefree
+modulo the prime ``SQUAREFREE_MODULUS`` (a univariate polynomial directly,
+a ternary form on one line of ``SQUAREFREE_LINES``) and take the exact
+gradient gcd only when that test does not decide.  Both paths give the
+same values, so callers need not know which one ran.
 """
 
 from __future__ import annotations
@@ -694,7 +701,10 @@ class SquarefreeDecomposition:
 
 
 def _gradient_gcd(p: MPoly) -> MPoly:
-    """gcd of p with all its partial derivatives (the repeated-factor core)."""
+    """gcd of p with all its partial derivatives (the repeated-factor core).
+
+    The exact path of the three primitives below, taken only when
+    ``_certified_squarefree`` does not decide."""
     g = p
     for var in sorted(p.variables_present()):
         g = gcd(g, p.partial_derivative(var))
@@ -704,11 +714,14 @@ def _gradient_gcd(p: MPoly) -> MPoly:
 
 
 def squarefree_decomposition(p: MPoly) -> SquarefreeDecomposition:
-    """Yun-style characteristic-zero decomposition via iterated gcds."""
+    """Yun-style characteristic-zero decomposition via iterated gcds; a
+    certified squarefree p is its own single part."""
     if p.is_zero():
         raise DegenerateCover("squarefree decomposition of zero")
     if p.is_constant():
         return SquarefreeDecomposition(p.constant_value(), ())
+    if _certified_squarefree(p):
+        return SquarefreeDecomposition(p.leading_coefficient(), ((p.monic(), 1),))
     core = _gradient_gcd(p)  # product f_i^(e_i - 1), monic
     distinct = exact_divide(core, p).monic()  # product of distinct factors
     parts = []
@@ -735,6 +748,8 @@ def squarefree_part(p: MPoly) -> MPoly:
         raise DegenerateCover("squarefree part of zero")
     if p.is_constant():
         return MPoly.constant(p.vars, 1)
+    if _certified_squarefree(p):
+        return p.monic()
     return exact_divide(_gradient_gcd(p), p).monic()
 
 
@@ -742,7 +757,7 @@ def repeated_part(p: MPoly) -> MPoly:
     """Product factor^(multiplicity - 1), monic; constant iff p squarefree."""
     if p.is_zero():
         raise DegenerateCover("repeated part of zero")
-    if p.is_constant():
+    if p.is_constant() or _certified_squarefree(p):
         return MPoly.constant(p.vars, 1)
     return _gradient_gcd(p)
 
@@ -829,19 +844,41 @@ def _squarefree_mod(coeffs, m):
     return len(a) == 1
 
 
+def _certified_squarefree(p: MPoly) -> bool:
+    """Is the nonconstant p certified squarefree modulo ``SQUAREFREE_MODULUS``?
+
+    A polynomial in one variable is reduced as its primitive integer
+    multiple f.  When the reduction keeps f's degree (the prime does not
+    divide the leading coefficient) and is coprime to its derivative, f has
+    no repeated factor over Q: by Gauss's lemma a factorization f = g^2 h
+    over Q is one over Z, and it reduces to one with a square factor of the
+    same degree.  A ternary form is certified by ``squarefree_line``.  False
+    means only that the test does not decide; every other shape gets False.
+    """
+    present = p.variables_present()
+    if len(present) == 1:
+        i, m = p.vars.index(present.pop()), SQUAREFREE_MODULUS
+        ints = [0] * (max(e[i] for e in p.terms) + 1)
+        for e, c in zip(p.terms, _clear_denominators(p.terms.values())):
+            ints[e[i]] = c
+        reduced = _trim_mod(ints, m)
+        return len(reduced) == len(ints) and _squarefree_mod(reduced, m)
+    if len(p.vars) == 3 and p.is_homogeneous():
+        return squarefree_line(p) is not None
+    return False
+
+
 def radical_divides(p: MPoly, q: MPoly):
     """Does every irreducible factor of p divide q?
 
-    Returns (flag, offending_factor_or_None); the offending factor is a
-    (possibly composite) divisor of p coprime to q.
+    Returns (flag, offending_factor_or_None); the offending factor is the
+    product of the irreducible factors of p that do not divide q, monic.
+    Dividing the squarefree part r of p by gcd(r, q) leaves exactly those.
     """
     if p.is_zero():
         raise ZeroDivisionError("radical_divides with zero first argument")
     r = squarefree_part(p)
-    while True:
-        g = gcd(r, q)
-        if g.is_constant():
-            if r.is_constant():
-                return True, None
-            return False, r
-        r = exact_divide(g, r).monic()
+    rest = exact_divide(gcd(r, q), r).monic()
+    if rest.is_constant():
+        return True, None
+    return False, rest

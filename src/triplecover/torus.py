@@ -19,13 +19,12 @@ from .polyring import (
     X4_VARS,
     X_VARS,
     dehomogenize,
-    divides,
+    exact_divide,
     gcd,
     homogenize,
     radical_divides,
     repeated_part,
     resultant,
-    squarefree_line,
     squarefree_part,
 )
 from .univar import project, projected_points
@@ -147,26 +146,26 @@ def condition2(pair: TorusPair) -> ConditionVerdict:
 def condition3(pair: TorusPair) -> ConditionVerdict:
     """Every prime whose square divides G2^3 + G3^2 must divide G2.
 
-    With G2 != 0 and T = gcd(G2, G3), the condition holds when T^2 divides
-    delta = G2^3 + G3^2 and ``squarefree_line`` certifies delta / T^2: a
-    prime E with E^2 | delta and E not dividing T would have E^2 | delta / T^2,
-    so E divides T, which divides G2.  Otherwise the sextic's gradient gcd
-    (``repeated_part``) decides and gives the witness.
+    With G2 != 0 and T = gcd(G2, G3), the repeated part of delta / T^2
+    decides, where delta = G2^3 + G3^2.  T^2 divides delta: for a prime E
+    with v_E(G2) = a and v_E(G3) = b, v_E(delta) >= min(3a, 2b) >= 2 min(a, b)
+    = v_E(T^2).  The offending primes, and so the witness, are those of the
+    whole sextic: a prime E that does not divide G2 does not divide T, so
+    E^2 divides delta / T^2 exactly when E^2 divides delta.  The quotient
+    has degree 6 - 2 deg T, and ``repeated_part`` tries a line of
+    ``SQUAREFREE_LINES`` on it before any gradient gcd.
     """
     delta = pair.delta()
     if delta.is_zero():
         raise DegenerateTorus("G2^3 + G3^2 = 0: condition 3 undefined")
-    if not pair.G2.is_zero():
-        T = gcd(pair.G2, pair.G3)
-        ok, rest = divides(T * T, delta)
-        if ok and squarefree_line(rest) is not None:
-            return ConditionVerdict(True)
-    rep = repeated_part(delta)
-    if rep.is_constant():
-        return ConditionVerdict(True)
     if pair.G2.is_zero():
+        rep = repeated_part(delta)
+        if rep.is_constant():
+            return ConditionVerdict(True)
         # E | G2 never holds, so any repeated prime of delta violates (3).
         return ConditionVerdict(False, witness=squarefree_part(rep))
+    T = gcd(pair.G2, pair.G3)
+    rep = repeated_part(exact_divide(T * T, delta))
     ok, offending = radical_divides(rep, pair.G2)
     if ok:
         return ConditionVerdict(True)

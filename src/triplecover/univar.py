@@ -3,18 +3,19 @@ the projection of two plane curves onto the univariate eliminant of their
 common points.
 
 Everything is exact: rational roots come from p-adic lifting and are checked
-by evaluation, with no floating point anywhere.
+by evaluation, with no floating point anywhere.  The roots are lifted from
+the squarefree part, which ``polyring.squarefree_part`` takes (certifying a
+squarefree input modulo a prime, so it then costs no gcd).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from . import polyring
 from .errors import TripleCoverError
-from .polyring import (MPoly, T_VARS, U_VARS, _clear_denominators, _squarefree_mod,
-                       _trim_mod, dehomogenize, lift_direction, linear_change,
-                       projective_point, resultant, squarefree_part)
+from .polyring import (MPoly, T_VARS, U_VARS, _clear_denominators, dehomogenize,
+                       lift_direction, linear_change, projective_point, resultant,
+                       squarefree_part)
 
 
 def to_univariate(p: MPoly, var):
@@ -92,24 +93,6 @@ def interpolate(points, values):
     return coeffs
 
 
-def squarefree_mod_p(coeffs):
-    """Is the nonzero univariate polynomial with these ascending rational
-    coefficients certified squarefree modulo ``polyring.SQUAREFREE_MODULUS``?
-
-    The primitive integer multiple f is reduced modulo the prime p.  When
-    the reduction keeps f's degree (p does not divide the leading
-    coefficient) and is coprime to its derivative, f has no repeated factor
-    over Q: by Gauss's lemma a factorization f = g^2 h over Q is one over
-    Z, and it reduces to one with a square factor of the same degree.
-    False means only that the test does not decide: f may have a repeated
-    root, or p may divide its discriminant.
-    """
-    m = polyring.SQUAREFREE_MODULUS
-    ints = _clear_denominators(coeffs)
-    reduced = _trim_mod(ints, m)
-    return len(reduced) == len(ints) and _squarefree_mod(reduced, m)
-
-
 def _eval_mod(ints, at, m):
     acc = 0
     for c in reversed(ints):
@@ -153,8 +136,6 @@ def rational_roots(coeffs):
     by Newton's method; once p^k exceeds 2 |lead r| the symmetric residue
     of lead * r mod p^k is that integer itself.  Each candidate is checked
     exactly against the input, so no root is dropped and none invented.
-    A polynomial that ``squarefree_mod_p`` certifies is its own squarefree
-    part; only the others take the gcd of ``squarefree_part``.
     """
     coeffs = [Fraction(c) for c in coeffs]
     while coeffs and not coeffs[-1]:
@@ -163,12 +144,9 @@ def rational_roots(coeffs):
         raise TripleCoverError("rational_roots of the zero polynomial")
     if len(coeffs) == 1:
         return []
-    if squarefree_mod_p(coeffs):
-        ints = _clear_denominators(coeffs)
-    else:
-        t = T_VARS[0]
-        sqfree = squarefree_part(from_univariate(coeffs, T_VARS, t))
-        ints = _clear_denominators(to_univariate(sqfree, t))
+    t = T_VARS[0]
+    sqfree = squarefree_part(from_univariate(coeffs, T_VARS, t))
+    ints = _clear_denominators(to_univariate(sqfree, t))
     lead = ints[-1]
     # |lead * r| < |lead| + max |a_i| (Cauchy), so residues mod a modulus
     # above twice that bound determine lead * r.

@@ -16,7 +16,7 @@ from triplecover.classify import (
     classify,
     cross_validate,
 )
-from triplecover import cover, etamap, polyring, torus, univar
+from triplecover import cover, etamap, polyring, torus
 from triplecover.cover import AffineCoverData, branch_decomposition, derived_invariants
 from triplecover.errors import DegenerateCover, DegenerateCubic
 from triplecover.etamap import TernaryCubic, eta
@@ -212,14 +212,15 @@ def test_classify_torus_total_part_is_common_factor(monkeypatch, E, l, q):
 @pytest.mark.parametrize("pair, c2, c3, note, factored", [
     # (2) holds; delta = x0^2 x2^2 (2 x0^2 + x2^2) and x2 misses G2.
     (TorusPair(-(x0 ** 2), x0 ** 3 + x0 * x2 ** 2), (True, None), (False, x2),
-     "condition (3) fails with witness x2", 1),
+     "condition (3) fails with witness x2", 0),
     # E | G2 and E^2 | G3 for E = x0 + x1: (2) fails, and a line certifies
     # (3) on delta / E^2.
     (TorusPair((x0 + x1) * (x1 - 2 * x2), (x0 + x1) ** 2 * (x0 + 3 * x2)),
      (False, x0 + x1), (True, None), "condition (2) fails with witness x0 + x1", 0),
 ], ids=["condition3_fails", "factored"])
 def test_classify_torus_failure_witnesses(monkeypatch, pair, c2, c3, note, factored):
-    """The sextic is factored only for a condition-(3) witness."""
+    """The witnesses; condition (3) takes its gradient gcd on the quartic
+    delta / T^2, so no sextic is factored."""
     report = classify(CoverSpec.torus(pair))
     assert report.case == CASE_NOT_NORMAL
     conditions = report.certificates["conditions"]
@@ -310,14 +311,12 @@ def test_classify_same_verdict_when_the_prime_certifies_nothing(monkeypatch):
     assert [_verdict(classify(spec)) for spec in specs] == certified
 
 
-def _counting(monkeypatch, module, name, seen, check=None):
+def _counting(monkeypatch, module, name, seen):
     """Replace ``module.name`` with a wrapper that appends each argument
-    tuple to ``seen`` (after ``check`` on them, when given)."""
+    tuple to ``seen``."""
     inner = getattr(module, name)
 
     def counting(*args):
-        if check is not None:
-            check(*args)
         seen.append(args)
         return inner(*args)
 
@@ -326,26 +325,23 @@ def _counting(monkeypatch, module, name, seen, check=None):
 
 @pytest.mark.parametrize("index", range(6))
 def test_classify_flag_work_count(monkeypatch, index):
-    """A flag classification builds D_f once, never takes a squarefree
-    part in ``rational_roots`` and decomposes only eliminants with a part
-    of multiplicity 3 (a center on a line through three flexes, as the
-    first center is for the Fermat cubic)."""
+    """A flag classification builds D_f once and takes no exact gradient
+    gcd in ``rational_roots`` (whose polynomials live in (t)); its only one
+    decomposes an eliminant in (u1, u2) with a part of multiplicity 3 (a
+    center on a line through three flexes, as the first center is for the
+    Fermat cubic)."""
     f = (_seed91_cubics() + [FERMAT])[index]
-
-    def has_triple_part(elim):
-        parts = polyring.squarefree_decomposition(elim).parts
-        assert 3 in {mult for _, mult in parts}
-
-    invariants, parts, decompositions = [], [], []
+    invariants, exact = [], []
     for module in (cover, etamap):
         _counting(monkeypatch, module, "derived_invariants", invariants)
-    _counting(monkeypatch, univar, "squarefree_part", parts)
-    _counting(monkeypatch, etamap, "squarefree_decomposition", decompositions,
-              has_triple_part)
+    _counting(monkeypatch, polyring, "_gradient_gcd", exact)
     assert classify(CoverSpec.flag(f)).case == CASE_FLAG_BUNDLE
+    monkeypatch.undo()
     assert len(invariants) == 1
-    assert parts == []
-    assert len(decompositions) == (1 if f == FERMAT else 0)
+    assert [p.vars for (p,) in exact] == ([U_VARS] if f == FERMAT else [])
+    for (elim,) in exact:
+        parts = polyring.squarefree_decomposition(elim).parts
+        assert 3 in {mult for _, mult in parts}
 
 
 def _moved(point, perm):
@@ -468,6 +464,17 @@ def test_cross_validate_rechecks_squarefree_line():
         "S is not squarefree on its certificate line (a, b) = (1, -1) "
         "of x2 = a*x0 + b*x1"
     ]
+
+
+def test_classify_generic_torus_pair_takes_no_gradient_gcd(monkeypatch):
+    """Every repeated-factor question of a generic torus classification,
+    the repeated part of G3 in condition (2) included, is certified modulo
+    a prime, so no exact gradient gcd runs."""
+    exact = []
+    _counting(monkeypatch, polyring, "_gradient_gcd", exact)
+    pair = TorusPair(x0 * x1, x2 ** 3 - x0 ** 3)
+    assert classify(CoverSpec.torus(pair)).case == CASE_CUBIC_SURFACE
+    assert exact == []
 
 
 def test_classify_torus_gcd_of_the_pair_work_count(monkeypatch):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from triplecover import cover, polyring
+from triplecover import polyring
 from triplecover.cover import (
     AffineCoverData,
     branch_decomposition,
@@ -145,23 +145,23 @@ def test_branch_decomposition_with_double_part():
 ], ids=["fermat", "dense"])
 def test_branch_decomposition_certifies_on_a_line(monkeypatch, cov):
     """A squarefree sextic that a line certifies is split with T = 1 and no
-    squarefree decomposition; with no lines listed, Yun's decomposition
-    gives the same split."""
+    exact gradient gcd; with no lines listed, Yun's decomposition after one
+    gradient gcd gives the same split."""
     D = derived_invariants(cov).D
-    decomposed = []
-    inner = cover.squarefree_decomposition
+    exact = []
+    inner = polyring._gradient_gcd
 
     def counting(p):
-        decomposed.append(p)
+        exact.append(p)
         return inner(p)
 
-    monkeypatch.setattr(cover, "squarefree_decomposition", counting)
+    monkeypatch.setattr(polyring, "_gradient_gcd", counting)
     dec = branch_decomposition(D)
-    assert decomposed == []
+    assert exact == []
     assert dec.T == MPoly.constant(X_VARS, 1)
     monkeypatch.setattr(polyring, "SQUAREFREE_LINES", ())
     yun = branch_decomposition(D)
-    assert len(decomposed) == 1
+    assert len(exact) == 1
     assert (dec.S, dec.T, dec.unit, dec.degree6_form) == \
         (yun.S, yun.T, yun.unit, yun.degree6_form)
 

@@ -19,10 +19,10 @@ from triplecover.etamap import (
     delta_f,
     eta,
     fiber_binary_cubic,
-    has_linear_factor,
     hessian_covariant,
     is_perfect_cube,
     is_smooth_cubic,
+    linear_factor,
     total_branch_locus,
     verify_discrim_lemma,
 )
@@ -236,35 +236,27 @@ def test_locus_points_have_cube_fibers():
 
 
 def test_has_linear_factor_triangle():
-    ok, witness = has_linear_factor(TernaryCubic.from_poly(v0 * v1 * v2))
-    assert ok
+    witness = linear_factor(TernaryCubic.from_poly(v0 * v1 * v2).as_poly())
     assert witness in (v0, v1, v2)
 
 
 def test_has_linear_factor_irreducible():
-    ok, witness = has_linear_factor(FERMAT)
-    assert not ok
-    assert witness is None
+    assert linear_factor(FERMAT.as_poly()) is None
 
 
 def test_has_linear_factor_generic_line():
     g = TernaryCubic.from_poly((v0 - 2 * v1 + 3 * v2) * (v0 ** 2 + v1 * v2))
-    ok, witness = has_linear_factor(g)
-    assert ok
-    assert witness == v0 - 2 * v1 + 3 * v2
+    assert linear_factor(g.as_poly()) == v0 - 2 * v1 + 3 * v2
 
 
 def test_has_linear_factor_v1_line():
     g = TernaryCubic.from_poly((v1 - 5 * v2) * (v0 ** 2 + v1 ** 2 + v2 ** 2))
-    ok, witness = has_linear_factor(g)
-    assert ok
-    assert witness == v1 - 5 * v2
+    assert linear_factor(g.as_poly()) == v1 - 5 * v2
 
 
 def test_has_linear_factor_v2_line():
     g = TernaryCubic.from_poly(v2 * (v0 ** 2 - v1 ** 2))
-    ok, witness = has_linear_factor(g)
-    assert ok
+    assert linear_factor(g.as_poly()) is not None
 
 
 def test_has_linear_factor_random_products():
@@ -283,8 +275,7 @@ def test_has_linear_factor_random_products():
         if conic.is_zero():
             continue
         f = TernaryCubic.from_poly(line * conic)
-        ok, _ = has_linear_factor(f)
-        assert ok
+        assert linear_factor(f.as_poly()) is not None
         checked += 1
 
 

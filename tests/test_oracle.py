@@ -25,7 +25,7 @@ from triplecover.polyring import (  # noqa: E402
     squarefree_decomposition,
     squarefree_line,
 )
-from triplecover.univar import rational_roots, squarefree_mod_p  # noqa: E402
+from triplecover.univar import from_univariate, rational_roots  # noqa: E402
 
 GENS = {name: sympy.Symbol(name) for name in U_VARS + V_VARS + X4_VARS + ("x",)}
 
@@ -270,8 +270,9 @@ def test_rational_roots_finds_planted(roots, repeats, scale, free):
 )
 def test_squarefree_mod_p_agrees_with_sympy(seed, repeated, modulus):
     """A random integer polynomial of degree up to 12, with a planted
-    repeated factor in half the cases: whenever the modular test certifies
-    it, sympy finds it squarefree, and its rational roots are sympy's."""
+    repeated factor in half the cases: whenever the kernel's modular test
+    certifies it, sympy finds it squarefree, and its rational roots are
+    sympy's."""
     rng = random.Random(seed)
 
     def factor(deg):
@@ -295,6 +296,6 @@ def test_squarefree_mod_p_agrees_with_sympy(seed, repeated, modulus):
     poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
                        for c in reversed(coeffs)], x, domain="QQ")
     with mock.patch.object(polyring, "SQUAREFREE_MODULUS", modulus):
-        if squarefree_mod_p(coeffs):
+        if polyring._certified_squarefree(from_univariate(coeffs, ("x",), "x")):
             assert all(m == 1 for _, m in sympy.sqf_list(poly)[1])
         assert rational_roots(coeffs) == univariate_roots_oracle(coeffs)

@@ -300,6 +300,33 @@ def test_radical_divides():
     assert offending is not None
 
 
+def test_only_the_kernel_certifies_squarefree():
+    """The modular squarefree test lives in the repeated-factor primitives:
+    no other module names its pieces, and ``squarefree_line`` is called
+    elsewhere only by ``classify._certify_line``, for the report's
+    certificate."""
+    hidden = {"_squarefree_mod", "_trim_mod", "SQUAREFREE_MODULUS"}
+    for path in Path(polyring.__file__).parent.glob("*.py"):
+        if path.name == "polyring.py":
+            continue
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            assert not names & hidden, (path.name, node.lineno)
+        callers = {
+            fn.name
+            for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            == "squarefree_line"
+        }
+        allowed = {"_certify_line"} if path.name == "classify.py" else set()
+        assert callers <= allowed, (path.name, callers)
+
+
 def test_collect_and_coefficients_in():
     p = u1 ** 2 * u2 + 3 * u1 * u2 + u2 ** 2
     by_u2 = p.coefficients_in("u2")

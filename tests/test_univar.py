@@ -19,7 +19,6 @@ from triplecover.univar import (
     from_univariate,
     interpolate,
     rational_roots,
-    squarefree_mod_p,
     to_univariate,
 )
 
@@ -150,18 +149,22 @@ def test_rational_roots_skip_bad_primes():
 P = 2 ** 31 - 1  # polyring.SQUAREFREE_MODULUS
 
 
-def _counting_squarefree_part(monkeypatch):
-    """A list that grows by one for each ``squarefree_part`` call that
-    ``rational_roots`` makes."""
+def _counting_gradient_gcd(monkeypatch):
+    """A list that grows by one for each exact gradient gcd, the path the
+    repeated-factor primitives take when the modular test does not decide."""
     seen = []
-    inner = univar.squarefree_part
+    inner = polyring._gradient_gcd
 
     def counting(p):
         seen.append(p)
         return inner(p)
 
-    monkeypatch.setattr(univar, "squarefree_part", counting)
+    monkeypatch.setattr(polyring, "_gradient_gcd", counting)
     return seen
+
+
+def _certified(coeffs):
+    return polyring._certified_squarefree(from_univariate(coeffs, T_VARS, "t"))
 
 
 @pytest.mark.parametrize("roots, scale, certified", [
@@ -179,11 +182,11 @@ def _counting_squarefree_part(monkeypatch):
 ])
 def test_rational_roots_modular_certificate(monkeypatch, roots, scale, certified):
     """Each planted root comes back once, whether the prime certifies the
-    polynomial squarefree or the exact squarefree part is taken."""
+    polynomial squarefree or the exact gradient gcd is taken."""
     assert polyring.SQUAREFREE_MODULUS == P
     coeffs = planted(roots, scale=scale)
-    assert squarefree_mod_p(coeffs) == certified
-    seen = _counting_squarefree_part(monkeypatch)
+    assert _certified(coeffs) == certified
+    seen = _counting_gradient_gcd(monkeypatch)
     assert rational_roots(coeffs) == sorted(set(Fraction(r) for r in roots))
     assert len(seen) == (0 if certified else 1)
 
@@ -191,14 +194,19 @@ def test_rational_roots_modular_certificate(monkeypatch, roots, scale, certified
 def test_squarefree_mod_p_reads_the_modulus_at_call_time(monkeypatch):
     # (t - 1)(t - 4) is squarefree modulo every prime but 3.
     coeffs = planted([1, 4])
-    assert squarefree_mod_p(coeffs)
-    monkeypatch.setattr(polyring, "SQUAREFREE_MODULUS", 3)
-    assert not squarefree_mod_p(coeffs)
+    seen = _counting_gradient_gcd(monkeypatch)
+    assert _certified(coeffs)
     assert rational_roots(coeffs) == [1, 4]
-    # A constant is squarefree; so is t^3 - t + 1 modulo 3, whose
-    # derivative 3 t^2 - 1 reduces to -1.
-    assert squarefree_mod_p([Fraction(5)])
-    assert squarefree_mod_p([1, -1, 0, 1])
+    assert seen == []
+    monkeypatch.setattr(polyring, "SQUAREFREE_MODULUS", 3)
+    assert not _certified(coeffs)
+    assert rational_roots(coeffs) == [1, 4]
+    assert len(seen) == 1
+    # A constant takes neither test; t^3 - t + 1 is squarefree modulo 3,
+    # whose derivative 3 t^2 - 1 reduces to -1.
+    assert polyring.repeated_part(MPoly.constant(T_VARS, 5)) == 1
+    assert _certified([1, -1, 0, 1])
+    assert len(seen) == 1
 
 
 def test_classify_without_mpmath():
