@@ -22,6 +22,7 @@ from .errors import (
 )
 from .polyring import (
     CHART_PERMS,
+    PROJECTION_CENTERS,
     MPoly,
     T_VARS,
     U_VARS,
@@ -38,6 +39,7 @@ from .polyring import (
     squarefree_part,
 )
 from .polyparse import print_poly
+from .univar import project, projected_points
 
 CASE_FLAG_BUNDLE = "FlagBundle"
 CASE_CUBIC_SURFACE = "CubicSurface"
@@ -193,36 +195,42 @@ def _match_flag(cov: AffineCoverData) -> etamap.TernaryCubic | None:
 # Singular point witness (for NotNormal reports)
 
 
-def _singular_point(f: etamap.TernaryCubic, repeated: MPoly | None):
-    """A rational singular point of f, or None when it has none.
+def _singular_points(f: etamap.TernaryCubic, reduced: bool):
+    """The rational singular points of f, least first by ``_witness_key``.
 
-    ``repeated`` is the repeated part of the branch sextic, whose linear
-    factors p0*x0 + p1*x1 + p2*x2 are the singular points p, or None when
-    D_f vanishes and f has a repeated line, singular at every point.
+    ``reduced`` says that D_f != 0.  Otherwise f has a repeated line, and
+    the list holds one point of it.  The singular points of a reduced f are
+    common points of f and its polar conic sum c_i df/dv_i at a center c off
+    f.  A common point on a line through c is a singular point or a point
+    where the line is tangent, so the line meets f at least twice there.
+    The line meets f only three times, so each direction holds one common
+    point, and the curves share no component.  So ``project`` from c gives
+    a nonzero eliminant, ``projected_points`` lifts every rational
+    direction, and the points where the gradient vanishes are kept.
     """
     fp = f.as_poly()
-    if repeated is None:
-        a, b, _ = _line_coefficients(squarefree_part(repeated_part(fp)))
-        witness = (-b, a, Fraction(0)) if a or b \
-            else (Fraction(1), Fraction(0), Fraction(0))
+    gradient = [fp.partial_derivative(v) for v in V_VARS]
+    if reduced:
+        center = next(c for c in PROJECTION_CENTERS
+                      if fp.evaluate(dict(zip(V_VARS, c))))
+        polar = sum((c * d for c, d in zip(center, gradient)), MPoly.zero(V_VARS))
+        points = [p for p, _ in projected_points(project(fp, polar, center))]
     else:
-        radical = squarefree_part(repeated)
-        line = radical if radical.total_degree() == 1 else etamap.linear_factor(radical)
-        if line is None:
-            return None
-        witness = _line_coefficients(line)
-    witness = projective_point(witness)
-    at = dict(zip(V_VARS, witness))
-    if any(fp.partial_derivative(v).evaluate(at) for v in V_VARS):
-        raise LemmaViolation(
-            "singular-point witness misses the gradient zeros (internal bug)"
-        )
-    return witness
+        line = squarefree_part(repeated_part(fp))
+        a, b, _ = (line.terms.get(e, Fraction(0))
+                   for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        points = [projective_point((-b, a, 0) if a or b else (1, 0, 0))]
+    singular = [p for p in points
+                if not any(d.evaluate(dict(zip(V_VARS, p))) for d in gradient)]
+    if not (reduced or singular):
+        raise LemmaViolation("D_f vanishes but f has no repeated line (internal bug)")
+    return sorted(singular, key=_witness_key)
 
 
-def _line_coefficients(line: MPoly):
-    return tuple(line.terms.get(e, Fraction(0))
-                 for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+def _witness_key(point):
+    """Points (1, p1, p2) first, then (0, 1, p2), then (0, 0, 1); within
+    each, the coordinates in descending order."""
+    return point.index(1), tuple(-c for c in point)
 
 
 # ---------------------------------------------------------------------------
@@ -240,32 +248,40 @@ def classify(spec: CoverSpec) -> ClassificationReport:
 
 
 def _classify_flag(f: etamap.TernaryCubic) -> ClassificationReport:
+    """f is smooth exactly when D_f != 0 and the branch sextic
+    homogenize(D_f, 6) is squarefree, since its repeated factors are the
+    lines p0*x0 + p1*x1 + p2*x2 of the singular points p of f.  A line
+    certificate proves it squarefree; otherwise a rational singular point
+    proves f singular, and only without one is the sextic's repeated part
+    taken."""
     if f is None or f.is_zero():
         raise DegenerateCubic("flag classification of the zero cubic")
     D = cover_mod.derived_invariants(etamap.eta(f)).D
-    repeated = etamap.branch_repeated_part(f, D)
-    if repeated is None or not repeated.is_constant():
-        report = ClassificationReport(CASE_NOT_NORMAL)
-        witness = _singular_point(f, repeated)
-        report.certificates["smooth"] = False
-        if witness is not None:
-            report.certificates["singular_point"] = witness
-            report.notes.append(
-                "dual cubic is singular at (%s : %s : %s)" % witness
-            )
-        else:
-            report.notes.append("dual cubic is singular (no rational witness)")
-        return report
+    # Homogenized, so that a repeated x0 (singular point (1 : 0 : 0)) counts.
+    form = None if D.is_zero() else homogenize(D, 6, X_VARS)
+    certificates = {}
+    if form is None or not _certify_line(certificates, form):
+        witness = next(iter(_singular_points(f, form is not None)), None)
+        if witness is not None or not repeated_part(form).is_constant():
+            report = ClassificationReport(CASE_NOT_NORMAL)
+            report.certificates["smooth"] = False
+            if witness is not None:
+                report.certificates["singular_point"] = witness
+                report.notes.append(
+                    "dual cubic is singular at (%s : %s : %s)" % witness
+                )
+            else:
+                report.notes.append("dual cubic is singular (no rational witness)")
+            return report
 
     cert = etamap.verify_discrim_lemma(f, D)
-    form = homogenize(cert.D_f, 6, X_VARS)
     branch = form.monic()
-    report = ClassificationReport(CASE_FLAG_BUNDLE, branch_form=branch)
+    report = ClassificationReport(CASE_FLAG_BUNDLE, branch_form=branch,
+                                  certificates=certificates)
     report.certificates["smooth"] = True
     report.certificates["lambda"] = cert.lam
-    # The smoothness test found the form squarefree: S = form, T = 1.
+    # The form is squarefree: S = form, T = 1.
     report.decomposition = cover_mod.split_branch(form, 1)
-    _certify_line(report)
     locus = etamap.total_branch_locus(f)
     report.total_branch = {
         "count": locus.count,
@@ -333,7 +349,7 @@ def _classify_torus(pair: torus.TorusPair) -> ClassificationReport:
     cov = torus.build_cover(pair)
     form = homogenize(cover_mod.derived_invariants(cov).D, 6, X_VARS)
     report.decomposition = cover_mod.split_branch(form, gcd(pair.G2, pair.G3))
-    _certify_line(report)
+    _certify_line(report.certificates, report.decomposition.S)
     report.certificates["surface"] = torus.cubic_surface_form(pair)
     try:
         locus = torus.total_branch_points(pair)
@@ -349,11 +365,13 @@ def _classify_torus(pair: torus.TorusPair) -> ClassificationReport:
     return report
 
 
-def _certify_line(report: ClassificationReport):
-    """Record the line of ``SQUAREFREE_LINES`` on which S is squarefree."""
-    line = squarefree_line(report.decomposition.S)
+def _certify_line(certificates: dict, S: MPoly) -> bool:
+    """Record as ``squarefree_line`` the line of ``SQUAREFREE_LINES`` on
+    which S is squarefree; False when no listed line is such a line."""
+    line = squarefree_line(S)
     if line is not None:
-        report.certificates["squarefree_line"] = line
+        certificates["squarefree_line"] = line
+    return line is not None
 
 
 def _classify_raw(cov: AffineCoverData) -> ClassificationReport:

@@ -27,13 +27,12 @@ from .polyring import (
     UV_VARS,
     V_VARS,
     X_VARS,
-    divides,
     homogenize,
     projective_point,
     repeated_part,
     squarefree_decomposition,
 )
-from .univar import project, projected_points, rational_roots
+from .univar import project, projected_points
 
 # The monomials of a ternary cubic with the binomial scale of t1..t10.
 _MONOMIALS = (
@@ -221,34 +220,23 @@ def is_perfect_cube(bc: BinaryCubic) -> bool:
 # Smoothness
 
 
-def branch_repeated_part(f: TernaryCubic, D: MPoly | None = None) -> MPoly | None:
-    """Repeated part of the branch sextic homogenize(D_f, 6), or None.
+def is_smooth_cubic(f: TernaryCubic) -> bool:
+    """Is f smooth?  Exactly when D_f != 0 and the branch sextic
+    homogenize(D_f, 6) is squarefree.
 
     The repeated factors of the sextic are the lines p0*x0 + p1*x1 + p2*x2 of
     the singular points p of f, since every line through a singular point
-    meets f twice there.  So the part is constant exactly when f is smooth.
-    None means that D_f vanishes identically, which happens exactly when f
-    has a repeated component.  ``repeated_part`` certifies the sextic on a
-    line of ``SQUAREFREE_LINES``; only every singular f and the rare smooth
-    f whose dual points of the listed lines lie on f or a flex tangent take
-    its gradient gcd.  ``D`` is D_f when the caller has it already; it
-    defaults to ``derived_invariants(eta(f)).D``.
+    meets f twice there, and D_f vanishes exactly when f has a repeated
+    component.  ``repeated_part`` certifies the sextic on a line of
+    ``SQUAREFREE_LINES`` and takes its gradient gcd only when no line does.
+    ``classify`` decides the same question by the line certificate, then a
+    rational singular point, then the repeated part.
     """
     if f.is_zero():
         raise DegenerateCubic("smoothness of the zero cubic")
-    if D is None:
-        D = derived_invariants(eta(f)).D
-    if D.is_zero():
-        return None
+    D = derived_invariants(eta(f)).D
     # Homogenized, so that a repeated x0 (singular point (1 : 0 : 0)) counts.
-    return repeated_part(homogenize(D, 6, X_VARS))
-
-
-def is_smooth_cubic(f: TernaryCubic) -> bool:
-    """Is f smooth?  Exactly when D_f != 0 and homogenize(D_f, 6) is
-    squarefree, as ``branch_repeated_part`` decides."""
-    repeated = branch_repeated_part(f)
-    return repeated is not None and repeated.is_constant()
+    return not D.is_zero() and repeated_part(homogenize(D, 6, X_VARS)).is_constant()
 
 
 # ---------------------------------------------------------------------------
@@ -315,42 +303,3 @@ def total_branch_locus(f: TernaryCubic) -> TotalBranchLocus:
     # Chart order: the points (1, a, b) by (a, b), then (0, 1, c), (0, 0, 1).
     cusps.sort(key=lambda p: (p.index(1), p))
     return TotalBranchLocus(9, tuple(cusps), {"center": center, "eliminant": elim})
-
-
-# ---------------------------------------------------------------------------
-# Reducibility
-
-
-def linear_factor(p: MPoly):
-    """A rational linear factor of a nonzero ternary form, or None.
-
-    A factor y0 - al*y1 - be*y2 meets y2 = 0 at (al : 1 : 0) and y1 = 0 at
-    (be : 0 : 1), so al and be are roots of p on those coordinate lines; a
-    factor y1 - ga*y2 meets y0 = 0 at (0 : ga : 1).  The candidates are
-    tried by exact division in the order (al, be), then ga, then y2.
-    """
-    y = [MPoly.variable(p.vars, v) for v in p.vars]
-    for al in _roots_on_line(p, 0, 2):
-        for be in _roots_on_line(p, 0, 1):
-            line = y[0] - al * y[1] - be * y[2]
-            if divides(line, p)[0]:
-                return line
-    for ga in _roots_on_line(p, 1, 0):
-        line = y[1] - ga * y[2]
-        if divides(line, p)[0]:
-            return line
-    if all(e[2] for e in p.terms):
-        return y[2]
-    return None
-
-
-def _roots_on_line(p: MPoly, var: int, zero: int):
-    """Rational t with p(t) = 0 on the coordinate line y[zero] = 0, where
-    y[var] = t and the third coordinate is 1, after the power of y[zero]
-    dividing p is divided out (so that the restriction is not zero)."""
-    low = min(e[zero] for e in p.terms)
-    coeffs = [Fraction(0)] * (p.degree_in(p.vars[var]) + 1)
-    for e, c in p.terms.items():
-        if e[zero] == low:
-            coeffs[e[var]] += c
-    return rational_roots(coeffs)

@@ -20,7 +20,7 @@ from triplecover import cover, etamap, polyring, torus
 from triplecover.cover import AffineCoverData, branch_decomposition, derived_invariants
 from triplecover.errors import DegenerateCover, DegenerateCubic
 from triplecover.etamap import TernaryCubic, eta
-from triplecover.polyring import MPoly, U_VARS, V_VARS, X_VARS, gcd
+from triplecover.polyring import MPoly, U_VARS, V_VARS, X_VARS, gcd, linear_change
 from triplecover.torus import TorusPair, build_cover
 
 FERMAT = TernaryCubic((1, 0, 0, 0, 0, 0, 1, 0, 0, 1))
@@ -36,6 +36,38 @@ u2 = MPoly.variable(U_VARS, "u2")
 one = MPoly.constant(U_VARS, 1)
 
 FERMAT_BRANCH = ((x0 ** 3 - x1 ** 3 - x2 ** 3) ** 2 - 4 * x1 ** 3 * x2 ** 3).monic()
+
+_MOVE = ((1, 2, 0), (0, 1, -1), (1, 0, 1))
+
+# Singular cubics and their witness: the least rational singular point by
+# (position of the first coordinate 1, then the coordinates in descending
+# order), or None when no singular point is rational.
+SINGULAR_WITNESSES = {
+    "nodal": (v1 ** 3 + v2 ** 3 + v0 * v1 * v2, (1, 0, 0)),
+    "cuspidal": (v0 ** 3 - v1 ** 2 * v2, (0, 0, 1)),
+    "conic_line": ((v0 * v2 - v1 ** 2) * (v0 - v2), (1, 1, 1)),
+    "conic_tangent": ((v0 * v2 - v1 ** 2) * v2, (1, 0, 0)),
+    "triangle": (v0 * v1 * v2, (1, 0, 0)),
+    "concurrent_lines": (v0 * v1 * (v0 + v1), (0, 0, 1)),
+    "double_line": (v0 ** 2 * v1 + v0 ** 2 * v2, (0, 1, 0)),
+    "triple_line": ((v0 + 2 * v1 - v2) ** 3, (1, Fraction(-1, 2), 0)),
+    # Singular at (1 : -1/2 : -1/2), (1 : -1/2 : -1) and (1 : -1 : -1).
+    "triangle_transformed": (linear_change(v0 * v1 * v2, _MOVE),
+                             (1, Fraction(-1, 2), Fraction(-1, 2))),
+    # Singular at (1 : -1/3 : -2/3) and (1 : -1 : -2).
+    "conic_line_transformed": (
+        linear_change((v0 * v2 - v1 ** 2) * (v0 - v2), _MOVE),
+        (1, Fraction(-1, 3), Fraction(-2, 3))),
+    # A line times a conic, meeting in conjugate points or, for the last,
+    # in (1 : 1 : 0) and (1 : -1 : 0).
+    "generic_line": ((v0 - 2 * v1 + 3 * v2) * (v0 ** 2 + v1 * v2), None),
+    "v1_line": ((v1 - 5 * v2) * (v0 ** 2 + v1 ** 2 + v2 ** 2), None),
+    "v2_line": (v2 * (v0 ** 2 - v1 ** 2), (1, 1, 0)),
+}
+
+# The classical singular cubics with D_f != 0 (no repeated line).
+REDUCED_KINDS = ("nodal", "cuspidal", "conic_line", "conic_tangent", "triangle",
+                 "concurrent_lines")
 
 
 def test_classify_fermat_flag_bundle():
@@ -75,22 +107,43 @@ def test_classify_nodal_cubic_witness():
     )
 
 
-@pytest.mark.parametrize("form", [
-    v1 ** 3 + v2 ** 3 + v0 * v1 * v2,
-    v0 ** 3 - v1 ** 2 * v2,
-    (v0 * v2 - v1 ** 2) * (v0 - v2),
-    (v0 * v2 - v1 ** 2) * v2,
-    v0 * v1 * v2,
-    v0 * v1 * (v0 + v1),
-    v0 ** 2 * v1 + v0 ** 2 * v2,
-    (v0 + 2 * v1 - v2) ** 3,
-], ids=["nodal", "cuspidal", "conic_line", "conic_tangent", "triangle",
-        "concurrent_lines", "double_line", "triple_line"])
-def test_classify_singular_witness_zeroes_gradient(form):
+@pytest.mark.parametrize("kind", SINGULAR_WITNESSES)
+def test_classify_singular_witness_zeroes_gradient(kind):
+    form, witness = SINGULAR_WITNESSES[kind]
     report = classify(CoverSpec.flag(TernaryCubic.from_poly(form)))
     assert report.case == CASE_NOT_NORMAL
-    at = dict(zip(V_VARS, report.certificates["singular_point"]))
+    if witness is None:
+        assert "singular_point" not in report.certificates
+        assert report.notes == ["dual cubic is singular (no rational witness)"]
+        return
+    point = report.certificates["singular_point"]
+    assert point == tuple(Fraction(c) for c in witness)
+    at = dict(zip(V_VARS, point))
     assert all(not form.partial_derivative(v).evaluate(at) for v in V_VARS)
+
+
+def test_classify_line_times_conic_witnesses():
+    """Random line-times-conic cubics: one has the rational singular point
+    (1 : 0 : 1), the others only conjugate ones."""
+    rng = random.Random(47)
+    notes = []
+    while len(notes) < 15:
+        a, b, c = (rng.randint(-4, 4) for _ in range(3))
+        line = a * v0 + b * v1 + c * v2
+        if line.is_zero():
+            continue
+        conic = (
+            rng.randint(-3, 3) * v0 ** 2 + rng.randint(-3, 3) * v0 * v1
+            + rng.randint(-3, 3) * v1 ** 2 + rng.randint(-3, 3) * v1 * v2
+            + rng.randint(-3, 3) * v2 ** 2 + rng.randint(-3, 3) * v0 * v2
+        )
+        if conic.is_zero():
+            continue
+        report = classify(CoverSpec.flag(TernaryCubic.from_poly(line * conic)))
+        assert report.case == CASE_NOT_NORMAL
+        notes += report.notes
+    assert notes == ["dual cubic is singular (no rational witness)"] * 14 \
+        + ["dual cubic is singular at (1 : 0 : 1)"]
 
 
 def test_classify_flag_cusps_sharing_a_projection():
@@ -142,13 +195,21 @@ def _sextics_factored(monkeypatch, spec):
 
 
 def test_classify_factors_branch_sextic_only_for_witness(monkeypatch):
-    """Positive verdicts certify the sextic on a line; only a NotNormal
-    witness takes its gradient gcd."""
+    """Positive verdicts certify the sextic on a line, and a rational
+    singular point is found by projection.  Only a singular f with no
+    rational singular point takes the sextic's gradient gcd: here a conic
+    and a line meeting in (1 : i : -1) and (1 : -i : -1)."""
     torus_spec = CoverSpec.torus(TorusPair(x0 * x1, x2 ** 3 - x0 ** 3))
     assert len(_sextics_factored(monkeypatch, torus_spec)) == 0
     assert len(_sextics_factored(monkeypatch, CoverSpec.flag(FERMAT))) == 0
-    nodal = CoverSpec.flag(TernaryCubic.from_poly(v1 ** 3 + v2 ** 3 + v0 * v1 * v2))
-    assert len(_sextics_factored(monkeypatch, nodal)) == 1
+    for kind in REDUCED_KINDS:
+        spec = CoverSpec.flag(TernaryCubic.from_poly(SINGULAR_WITNESSES[kind][0]))
+        assert len(_sextics_factored(monkeypatch, spec)) == 0, kind
+    conjugate = CoverSpec.flag(TernaryCubic.from_poly((v0 * v2 - v1 ** 2) * (v0 + v2)))
+    assert len(_sextics_factored(monkeypatch, conjugate)) == 1
+    report = classify(conjugate)
+    assert report.case == CASE_NOT_NORMAL
+    assert report.notes == ["dual cubic is singular (no rational witness)"]
 
 
 def _through_listed_dual_points():
@@ -297,15 +358,19 @@ def _seed91_cubics():
 
 def _verdict(report):
     return (report.case, report.branch_form, report.decomposition,
-            report.total_branch)
+            report.total_branch, report.certificates.get("singular_point"),
+            report.notes)
 
 
 def test_classify_same_verdict_when_the_prime_certifies_nothing(monkeypatch):
     """Modulo 3 most modular certificates fail, ``squarefree_line``'s
-    included, so every exact fallback runs; the verdicts are the same."""
+    included, so every exact fallback runs; the verdicts and witnesses are
+    the same."""
     specs = [CoverSpec.flag(f) for f in _seed91_cubics()]
     specs += [CoverSpec.flag(FERMAT),
               CoverSpec.torus(TorusPair(x0 * x1, x2 ** 3 - x0 ** 3))]
+    specs += [CoverSpec.flag(TernaryCubic.from_poly(form))
+              for form, _ in SINGULAR_WITNESSES.values()]
     certified = [_verdict(classify(spec)) for spec in specs]
     monkeypatch.setattr(polyring, "SQUAREFREE_MODULUS", 3)
     assert [_verdict(classify(spec)) for spec in specs] == certified

@@ -22,7 +22,6 @@ from triplecover.etamap import (
     hessian_covariant,
     is_perfect_cube,
     is_smooth_cubic,
-    linear_factor,
     total_branch_locus,
     verify_discrim_lemma,
 )
@@ -233,50 +232,6 @@ def test_locus_points_have_cube_fibers():
         if x0:
             bc = fiber_binary_cubic(FERMAT, (x1 / x0, x2 / x0))
             assert is_perfect_cube(bc)
-
-
-def test_has_linear_factor_triangle():
-    witness = linear_factor(TernaryCubic.from_poly(v0 * v1 * v2).as_poly())
-    assert witness in (v0, v1, v2)
-
-
-def test_has_linear_factor_irreducible():
-    assert linear_factor(FERMAT.as_poly()) is None
-
-
-def test_has_linear_factor_generic_line():
-    g = TernaryCubic.from_poly((v0 - 2 * v1 + 3 * v2) * (v0 ** 2 + v1 * v2))
-    assert linear_factor(g.as_poly()) == v0 - 2 * v1 + 3 * v2
-
-
-def test_has_linear_factor_v1_line():
-    g = TernaryCubic.from_poly((v1 - 5 * v2) * (v0 ** 2 + v1 ** 2 + v2 ** 2))
-    assert linear_factor(g.as_poly()) == v1 - 5 * v2
-
-
-def test_has_linear_factor_v2_line():
-    g = TernaryCubic.from_poly(v2 * (v0 ** 2 - v1 ** 2))
-    assert linear_factor(g.as_poly()) is not None
-
-
-def test_has_linear_factor_random_products():
-    rng = random.Random(47)
-    checked = 0
-    while checked < 15:
-        a, b, c = (rng.randint(-4, 4) for _ in range(3))
-        line = a * v0 + b * v1 + c * v2
-        if line.is_zero():
-            continue
-        conic = (
-            rng.randint(-3, 3) * v0 ** 2 + rng.randint(-3, 3) * v0 * v1
-            + rng.randint(-3, 3) * v1 ** 2 + rng.randint(-3, 3) * v1 * v2
-            + rng.randint(-3, 3) * v2 ** 2 + rng.randint(-3, 3) * v0 * v2
-        )
-        if conic.is_zero():
-            continue
-        f = TernaryCubic.from_poly(line * conic)
-        assert linear_factor(f.as_poly()) is not None
-        checked += 1
 
 
 def test_reducibility_witness_divides_resolvent():

@@ -14,7 +14,8 @@ from sympy.polys.matrices import DomainMatrix  # noqa: E402
 from sympy.polys.subresultants_qq_zz import sylvester  # noqa: E402
 
 from triplecover import polyring  # noqa: E402
-from triplecover.etamap import linear_factor  # noqa: E402
+from triplecover.classify import CoverSpec, _singular_points, classify  # noqa: E402
+from triplecover.etamap import TernaryCubic  # noqa: E402
 from triplecover.polyring import (  # noqa: E402
     MPoly,
     U_VARS,
@@ -208,40 +209,78 @@ def test_rational_roots_match_sympy():
         assert rational_roots(coeffs) == univariate_roots_oracle(coeffs)
 
 
-def _search_key(line):
-    """Where linear_factor looks first: (0, al, be) for y0 - al y1 - be y2,
-    then (1, ga) for y1 - ga y2, then (2,) for y2."""
-    c = [line.coeff_monomial(g) for g in line.gens]
-    if c[0]:
-        return (0, -c[1] / c[0], -c[2] / c[0])
-    if c[1]:
-        return (1, -c[2] / c[1])
-    return (2,)
+def singular_points_oracle(p: MPoly):
+    """The rational solutions of grad p = 0 in P^2 that sympy finds, chart by
+    chart: (1, y, z), then (0, 1, z), then (0, 0, 1)."""
+    gens = [GENS[v] for v in p.vars]
+    expr = to_sympy(p).as_expr()
+    gradient = [sympy.diff(expr, g) for g in gens]
+    points = set()
+    for k in range(3):
+        fixed = dict(zip(gens, [0] * k + [1]))
+        free = gens[k + 1:]
+        equations = [e for e in (d.subs(fixed) for d in gradient) if e != 0]
+        if not free:
+            solutions = [()] if not equations else []
+        else:
+            solutions = sympy.solve_poly_system(equations, *free) or []
+        for solution in solutions:
+            if all(c.is_Rational for c in solution):
+                points.add((Fraction(0),) * k + (Fraction(1),) + tuple(
+                    Fraction(int(c.p), int(c.q)) for c in solution))
+    return points
 
 
-def test_linear_factor_matches_sympy():
+def _witness_key(point):
+    """The first nonzero coordinate's position, then the coordinates in
+    descending order."""
+    return next(i for i, c in enumerate(point) if c), [-c for c in point]
+
+
+def _random_singular_cubic(rng, kind):
+    """A reduced cubic: a line times a conic, three lines, or a nodal or
+    cuspidal cubic singular at a random rational point p, built as
+    q(l1, l2) * l3 + c(l1, l2) for lines l1, l2 through p."""
+    if kind == 0:
+        return random_form(rng, V_VARS, 1) * random_form(rng, V_VARS, 2)
+    if kind == 1:
+        return random_form(rng, V_VARS, 1) * random_form(rng, V_VARS, 1) \
+            * random_form(rng, V_VARS, 1)
+    p = [rng.randint(-3, 3) for _ in range(3)]
+    v = [MPoly.variable(V_VARS, x) for x in V_VARS]
+
+    def through_p():
+        r = [rng.randint(-3, 3) for _ in range(3)]
+        c = (p[1] * r[2] - p[2] * r[1], p[2] * r[0] - p[0] * r[2],
+             p[0] * r[1] - p[1] * r[0])
+        return sum((ci * vi for ci, vi in zip(c, v)), MPoly.zero(V_VARS))
+
+    l1, l2, l3 = through_p(), through_p(), random_form(rng, V_VARS, 1)
+    a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+    quadric = (a * l1 + b * l2) ** 2 if kind == 3 else (a * l1 + b * l2) * l1 - l2 ** 2
+    cubic = sum((rng.randint(-3, 3) * l1 ** i * l2 ** (3 - i) for i in range(4)),
+                MPoly.zero(V_VARS))
+    return quadric * l3 + cubic
+
+
+def test_singular_points_match_sympy():
+    """The rational singular points that the projection keeps are exactly
+    sympy's, and the witness is the least of them, or None."""
     rng = random.Random(105)
-    for _ in range(40):
-        p = MPoly.constant(V_VARS, 1)
-        deg = rng.randint(1, 6)
-        while deg:
-            d = rng.randint(1, min(deg, 3))
-            deg -= d
-            f = nonzero(lambda: random_form(rng, V_VARS, d))
-            if d == 1 and rng.random() < 0.4:
-                f = nonzero(lambda: MPoly(V_VARS, {
-                    e: c for e, c in random_form(rng, V_VARS, 1).terms.items()
-                    if e[0] == 0 or rng.random() < 0.3}))
-            p = p * f
-        _, factors = sympy.factor_list(to_sympy(p))
-        lines = [f for f, _ in factors if f.total_degree() == 1]
-        got = linear_factor(p)
-        if not lines:
-            assert got is None
+    checked = 0
+    while checked < 40:
+        p = _random_singular_cubic(rng, checked % 4)
+        if p.is_zero() or p.total_degree() != 3 \
+                or any(m > 1 for _, m in sympy.sqf_list(to_sympy(p))[1]):
             continue
-        assert got is not None and got.total_degree() == 1
-        assert any(proportional(got, f) for f in lines)
-        assert _search_key(to_sympy(got)) == min(_search_key(f) for f in lines)
+        expected = singular_points_oracle(p)
+        got = _singular_points(TernaryCubic.from_poly(p), True)
+        assert set(got) == expected and len(got) == len(expected)
+        assert got == sorted(expected, key=_witness_key)
+        report = classify(CoverSpec.flag(TernaryCubic.from_poly(p)))
+        assert report.certificates.get("singular_point") == \
+            min(expected, key=_witness_key, default=None)
+        checked += 1
 
 
 @settings(max_examples=60, deadline=None)

@@ -304,7 +304,8 @@ def test_only_the_kernel_certifies_squarefree():
     """The modular squarefree test lives in the repeated-factor primitives:
     no other module names its pieces, and ``squarefree_line`` is called
     elsewhere only by ``classify._certify_line``, for the report's
-    certificate."""
+    certificate.  On the flag route that line is also the proof that the
+    dual cubic is smooth."""
     hidden = {"_squarefree_mod", "_trim_mod", "SQUAREFREE_MODULUS"}
     for path in Path(polyring.__file__).parent.glob("*.py"):
         if path.name == "polyring.py":
