@@ -257,3 +257,17 @@ def test_reducibility_witness_divides_resolvent():
         ok, _ = divides(witness, cubic)
         assert ok
         checked += 1
+
+
+def test_has_linear_factor_triangle():
+    """v0*v1*v2 has the three coordinate lines as factors, and its singular
+    points are exactly where two of them meet."""
+    from triplecover.classify import _singular_points
+    from triplecover.polyring import divides
+
+    triangle = TernaryCubic.from_poly(v0 * v1 * v2)
+    for line in (v0, v1, v2):
+        ok, _ = divides(line, triangle.as_poly())
+        assert ok
+    points = _singular_points(triangle, True)
+    assert points == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
