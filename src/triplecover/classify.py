@@ -39,7 +39,7 @@ from .polyring import (
     squarefree_part,
 )
 from .polyparse import print_poly
-from .univar import project, projected_points
+from .univar import common_points
 
 CASE_FLAG_BUNDLE = "FlagBundle"
 CASE_CUBIC_SURFACE = "CubicSurface"
@@ -200,21 +200,21 @@ def _singular_points(f: etamap.TernaryCubic, reduced: bool):
 
     ``reduced`` says that D_f != 0.  Otherwise f has a repeated line, and
     the list holds one point of it.  The singular points of a reduced f are
-    common points of f and its polar conic sum c_i df/dv_i at a center c off
-    f.  A common point on a line through c is a singular point or a point
-    where the line is tangent, so the line meets f at least twice there.
-    The line meets f only three times, so each direction holds one common
-    point, and the curves share no component.  So ``project`` from c gives
-    a nonzero eliminant, ``projected_points`` lifts every rational
-    direction, and the points where the gradient vanishes are kept.
+    common points of f and its polar conic sum q_i df/dv_i at q, the first
+    of ``PROJECTION_CENTERS`` off f.  A common point on a line through q is
+    a singular point or a point where the line is tangent, so the line
+    meets f at least twice there.  The line meets f only three times, so
+    each direction holds one common point, and the curves share no
+    component.  The polar is 3 f(q) != 0 at q, so ``common_points`` tries q
+    first and accepts it; the points where the gradient vanishes are kept.
     """
     fp = f.as_poly()
     gradient = [fp.partial_derivative(v) for v in V_VARS]
     if reduced:
-        center = next(c for c in PROJECTION_CENTERS
-                      if fp.evaluate(dict(zip(V_VARS, c))))
-        polar = sum((c * d for c, d in zip(center, gradient)), MPoly.zero(V_VARS))
-        points = [p for p, _ in projected_points(project(fp, polar, center))]
+        q = next(c for c in PROJECTION_CENTERS if fp.evaluate(dict(zip(V_VARS, c))))
+        polar = sum((c * d for c, d in zip(q, gradient)), MPoly.zero(V_VARS))
+        _, _, _, common = common_points(fp, polar)
+        points = [p for p, _ in common]
     else:
         line = squarefree_part(repeated_part(fp))
         a, b, _ = (line.terms.get(e, Fraction(0))
@@ -282,7 +282,7 @@ def _classify_flag(f: etamap.TernaryCubic) -> ClassificationReport:
     report.certificates["lambda"] = cert.lam
     # The form is squarefree: S = form, T = 1.
     report.decomposition = cover_mod.split_branch(form, 1)
-    locus = etamap.total_branch_locus(f)
+    locus = etamap._flex_locus(f)
     report.total_branch = {
         "count": locus.count,
         "rational_points": list(locus.rational_points),
@@ -345,10 +345,10 @@ def _classify_torus(pair: torus.TorusPair) -> ClassificationReport:
     # delta = G2^3 + G3^2.  If E divides G2 and G3, then E divides G3 once
     # by (2), so v_E(G3^2) = 2 < 3 <= v_E(G2^3) and v_E(delta) = 2.  If
     # E^2 divides delta, then E divides G2 by (3), hence E divides G3.  So
-    # T = gcd(G2, G3) (monic and squarefree) and S = delta / T^2.
-    cov = torus.build_cover(pair)
-    form = homogenize(cover_mod.derived_invariants(cov).D, 6, X_VARS)
-    report.decomposition = cover_mod.split_branch(form, gcd(pair.G2, pair.G3))
+    # T = gcd(G2, G3) (monic and squarefree) and S = delta / T^2.  The
+    # normal form (0, 1, -2*G3, G2) has A = -G2, B = 2*G3 and C = G2^2, so
+    # its branch form is D = B^2 - 4AC = 4 * delta.
+    report.decomposition = cover_mod.split_branch(4 * delta, gcd(pair.G2, pair.G3))
     _certify_line(report.certificates, report.decomposition.S)
     report.certificates["surface"] = torus.cubic_surface_form(pair)
     try:

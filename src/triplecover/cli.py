@@ -11,6 +11,7 @@ error, 3 parse error, 4 mathematical degeneracy.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -498,6 +499,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on first use and reused: parse_args keeps no state between calls.
+_parser = functools.cache(build_parser)
+
+
 _DISPATCH = {
     "eta": _cmd_eta,
     "branch": _cmd_branch,
@@ -513,9 +518,8 @@ _DISPATCH = {
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.command is None:
             raise _UsageError("a subcommand is required")
         return _DISPATCH[args.command](args)

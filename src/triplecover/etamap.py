@@ -21,7 +21,6 @@ from .errors import (
     TripleCoverError,
 )
 from .polyring import (
-    PROJECTION_CENTERS,
     MPoly,
     U_VARS,
     UV_VARS,
@@ -30,9 +29,8 @@ from .polyring import (
     homogenize,
     projective_point,
     repeated_part,
-    squarefree_decomposition,
 )
-from .univar import project, projected_points
+from .univar import common_points
 
 # The monomials of a ternary cubic with the binomial scale of t1..t10.
 _MONOMIALS = (
@@ -257,49 +255,33 @@ def _hessian(fp: MPoly) -> MPoly:
 def total_branch_locus(f: TernaryCubic) -> TotalBranchLocus:
     """The nine cusps of the dual sextic of a smooth cubic f.
 
-    The cusps are the tangent lines grad f(p) at the nine flexes p of f, the
-    points of f = Hess(f) = 0, projected by ``univar.project``.  The flexes
-    of a smooth f are simple and a line through two of them holds a third,
-    so every direction has multiplicity 1 or 3, and a squarefree eliminant
-    of degree 9, or 8 with the direction (0 : 1), certifies nine distinct
-    flexes, one on each direction.  ``squarefree_decomposition`` certifies
-    it modulo a prime; only an eliminant that test does not decide (a
-    center on a line through three flexes, or a prime dividing its
-    discriminant) is decomposed exactly, and its multiplicities 1 and 3
-    move on to the next center.  Such a center fails only on f, on
-    Hess(f) or on the 12 lines through three flexes, a curve of degree 18,
-    so one of ``PROJECTION_CENTERS`` is good.  Anything else (a zero
-    eliminant, another multiplicity, no good center) shows that f is
-    singular and raises NotSmooth.  Hess(f) vanishes exactly when f is a
-    cone (three concurrent lines, a double or a triple line), which is
-    rejected before any projection.
+    A singular f raises NotSmooth by ``is_smooth_cubic`` before any
+    projection; ``classify``, which has certified smoothness from its own
+    D_f, calls ``_flex_locus`` directly.
     """
     if f.is_zero():
         raise DegenerateCubic("total branch locus of the zero cubic")
-    fp = f.as_poly()
-    hess = _hessian(fp)
-    if hess.is_zero():
-        raise NotSmooth("the cubic is a cone: its Hessian vanishes identically")
-    for center in PROJECTION_CENTERS:
-        projection = project(fp, hess, center)
-        if projection is None:
-            continue
-        _, _, _, elim = projection
-        if elim.is_zero():
-            raise NotSmooth("the cubic shares a component with its Hessian")
-        mults = {mult for _, mult in squarefree_decomposition(elim).parts}
-        if elim.total_degree() < 9:
-            mults.add(9 - elim.total_degree())
-        if mults == {1}:
-            break
-        if not mults <= {1, 3}:
-            raise NotSmooth("a singular point of the cubic meets its Hessian")
-    else:
-        raise NotSmooth("no projection center separates nine flexes")
+    if not is_smooth_cubic(f):
+        raise NotSmooth("the cubic is singular")
+    return _flex_locus(f)
 
+
+def _flex_locus(f: TernaryCubic) -> TotalBranchLocus:
+    """The cusps of the dual sextic of a cubic f known to be smooth: the
+    tangent lines grad f(p) at the flexes p, the points of f = Hess(f) = 0
+    found by ``univar.common_points``.
+
+    A smooth cubic has nine simple flexes, so the count 9 rests on the
+    smoothness certificate, not on the eliminant.  Every rational flex lies
+    on a rational direction, and a rational direction through three
+    collinear flexes fails to lift, so the accepted center yields every
+    rational flex once.
+    """
+    fp = f.as_poly()
+    center, _, elim, flexes = common_points(fp, _hessian(fp))
     gradient = [fp.partial_derivative(v) for v in V_VARS]
     cusps = [projective_point(d.evaluate(dict(zip(V_VARS, flex))) for d in gradient)
-             for flex, _ in projected_points(projection)]
+             for flex, _ in flexes]
     # Chart order: the points (1, a, b) by (a, b), then (0, 1, c), (0, 0, 1).
     cusps.sort(key=lambda p: (p.index(1), p))
     return TotalBranchLocus(9, tuple(cusps), {"center": center, "eliminant": elim})

@@ -6,14 +6,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cover import AffineCoverData
-from .errors import (
-    CommonComponent,
-    DegenerateTorus,
-    IndeterminateCount,
-    TripleCoverError,
-)
+from .errors import CommonComponent, DegenerateTorus, TripleCoverError
 from .polyring import (
-    PROJECTION_CENTERS,
     MPoly,
     U_VARS,
     X4_VARS,
@@ -27,7 +21,7 @@ from .polyring import (
     resultant,
     squarefree_part,
 )
-from .univar import project, projected_points
+from .univar import common_points
 
 
 @dataclass(frozen=True)
@@ -146,24 +140,20 @@ def condition2(pair: TorusPair) -> ConditionVerdict:
 def condition3(pair: TorusPair) -> ConditionVerdict:
     """Every prime whose square divides G2^3 + G3^2 must divide G2.
 
-    With G2 != 0 and T = gcd(G2, G3), the repeated part of delta / T^2
-    decides, where delta = G2^3 + G3^2.  T^2 divides delta: for a prime E
-    with v_E(G2) = a and v_E(G3) = b, v_E(delta) >= min(3a, 2b) >= 2 min(a, b)
-    = v_E(T^2).  The offending primes, and so the witness, are those of the
-    whole sextic: a prime E that does not divide G2 does not divide T, so
-    E^2 divides delta / T^2 exactly when E^2 divides delta.  The quotient
-    has degree 6 - 2 deg T, and ``repeated_part`` tries a line of
-    ``SQUAREFREE_LINES`` on it before any gradient gcd.
+    With T = gcd(G2, G3), the repeated part of delta / T^2 decides, where
+    delta = G2^3 + G3^2.  T^2 divides delta: for a prime E with v_E(G2) = a
+    and v_E(G3) = b, v_E(delta) >= min(3a, 2b) >= 2 min(a, b) = v_E(T^2).
+    The offending primes, and so the witness, are those of the whole
+    sextic: a prime E that does not divide G2 does not divide T, so E^2
+    divides delta / T^2 exactly when E^2 divides delta.  The quotient has
+    degree 6 - 2 deg T, and ``repeated_part`` tries a line of
+    ``SQUAREFREE_LINES`` on it before any gradient gcd.  Every prime
+    divides G2 = 0, so (3) then holds, and indeed T is G3 up to scale and
+    the quotient is constant.
     """
     delta = pair.delta()
     if delta.is_zero():
         raise DegenerateTorus("G2^3 + G3^2 = 0: condition 3 undefined")
-    if pair.G2.is_zero():
-        rep = repeated_part(delta)
-        if rep.is_constant():
-            return ConditionVerdict(True)
-        # E | G2 never holds, so any repeated prime of delta violates (3).
-        return ConditionVerdict(False, witness=squarefree_part(rep))
     T = gcd(pair.G2, pair.G3)
     rep = repeated_part(exact_divide(T * T, delta))
     ok, offending = radical_divides(rep, pair.G2)
@@ -187,28 +177,21 @@ class IntersectionLocus:
 def total_branch_points(pair: TorusPair) -> IntersectionLocus:
     """Intersection of the conic G2 = 0 and the cubic G3 = 0.
 
-    Projected by ``univar.project`` from the first of ``PROJECTION_CENTERS``
-    at which every rational direction holds a single intersection point,
-    which is then rational and has the multiplicity of its direction.  The
-    centers that fail lie on G2, on G3 or on one of the at most 15 lines
-    through two of the 6 points: a curve of degree at most 20, which misses
-    one of the centers.  A zero eliminant means that G2 and G3 share a
+    ``univar.common_points`` projects it from the first center at which
+    every rational direction holds a single intersection point, which is
+    then rational and has the multiplicity of its direction.  The centers
+    that fail lie on G2, on G3 or on one of the at most 15 lines through two
+    of the 6 points.  A zero eliminant means that G2 and G3 share a
     component.
     """
     if pair.G2.is_zero() or pair.G3.is_zero():
         raise CommonComponent("a zero form has no finite intersection")
-    for center in PROJECTION_CENTERS:
-        projection = project(pair.G2, pair.G3, center)
-        if projection is None:
-            continue
-        m, _, _, elim = projection
-        if elim.is_zero():
-            raise CommonComponent("G2 and G3 share a component")
-        points = projected_points(projection)
-        if points is not None:
-            return IntersectionLocus(
-                count_with_multiplicity=6,
-                rational_points=tuple(sorted(points)),
-                eliminants={"resultant_x2": homogenize(elim, 6, X_VARS), "matrix": m},
-            )
-    raise IndeterminateCount("no usable projection center found")
+    try:
+        _, m, elim, points = common_points(pair.G2, pair.G3)
+    except CommonComponent:
+        raise CommonComponent("G2 and G3 share a component") from None
+    return IntersectionLocus(
+        count_with_multiplicity=6,
+        rational_points=tuple(sorted(points)),
+        eliminants={"resultant_x2": homogenize(elim, 6, X_VARS), "matrix": m},
+    )

@@ -1,6 +1,8 @@
 """Univariate helpers: coefficient lists, interpolation, rational roots, and
-the projection of two plane curves onto the univariate eliminant of their
-common points.
+the rational common points of two plane curves, found by projecting them
+onto a univariate eliminant.  ``common_points`` holds the one center policy
+that every finite locus of the package uses: the flexes of a cubic, the
+points G2 = G3 = 0 and the singular points of a cubic.
 
 Everything is exact: rational roots come from p-adic lifting and are checked
 by evaluation, with no floating point anywhere.  The roots are lifted from
@@ -12,10 +14,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import TripleCoverError
-from .polyring import (MPoly, T_VARS, U_VARS, _clear_denominators, dehomogenize,
-                       lift_direction, linear_change, projective_point, resultant,
-                       squarefree_part)
+from .errors import CommonComponent, IndeterminateCount, TripleCoverError
+from .polyring import (PROJECTION_CENTERS, MPoly, T_VARS, U_VARS, _clear_denominators,
+                       dehomogenize, lift_direction, linear_change, projective_point,
+                       resultant, squarefree_part)
 
 
 def to_univariate(p: MPoly, var):
@@ -221,3 +223,30 @@ def projected_points(projection):
         point = [sum(r * c for r, c in zip(row, (w0, w1, w2))) for row in m]
         points.append((projective_point(point), mult))
     return points
+
+
+def common_points(g: MPoly, h: MPoly):
+    """(center, M, eliminant, points) for the rational common points of two
+    ternary forms, projected from the first of ``PROJECTION_CENTERS`` that
+    lies off both curves and at which ``projected_points`` lifts every
+    rational direction to one common point.
+
+    Every rational common point lies on a rational direction, so the points
+    are all of them, each with the multiplicity of its direction.  A center
+    fails only on g, on h or on a line through two common points.  When
+    these make a curve of degree at most 20, as for each locus of the
+    package, it misses a point of the 21 x 21 grid of centers.  A zero
+    eliminant raises CommonComponent; running out of centers raises
+    IndeterminateCount.
+    """
+    for center in PROJECTION_CENTERS:
+        projection = project(g, h, center)
+        if projection is None:
+            continue
+        m, _, _, elim = projection
+        if elim.is_zero():
+            raise CommonComponent("the curves share a component")
+        points = projected_points(projection)
+        if points is not None:
+            return center, m, elim, points
+    raise IndeterminateCount("no usable projection center found")

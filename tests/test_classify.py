@@ -16,11 +16,11 @@ from triplecover.classify import (
     classify,
     cross_validate,
 )
-from triplecover import cover, etamap, polyring, torus
+from triplecover import cover, etamap, polyring, torus, univar
 from triplecover.cover import AffineCoverData, branch_decomposition, derived_invariants
 from triplecover.errors import DegenerateCover, DegenerateCubic
 from triplecover.etamap import TernaryCubic, eta
-from triplecover.polyring import MPoly, U_VARS, V_VARS, X_VARS, gcd, linear_change
+from triplecover.polyring import MPoly, T_VARS, U_VARS, V_VARS, X_VARS, gcd, linear_change
 from triplecover.torus import TorusPair, build_cover
 
 FERMAT = TernaryCubic((1, 0, 0, 0, 0, 0, 1, 0, 0, 1))
@@ -278,7 +278,10 @@ def test_classify_torus_total_part_is_common_factor(monkeypatch, E, l, q):
     # (3) on delta / E^2.
     (TorusPair((x0 + x1) * (x1 - 2 * x2), (x0 + x1) ** 2 * (x0 + 3 * x2)),
      (False, x0 + x1), (True, None), "condition (2) fails with witness x0 + x1", 0),
-], ids=["condition3_fails", "factored"])
+    # G2 = 0: x0^2 | G3 fails (2), and every prime divides G2, so (3) holds.
+    (TorusPair(MPoly.zero(X_VARS), x0 ** 2 * x1), (False, x0), (True, None),
+     "condition (2) fails with witness x0", 0),
+], ids=["condition3_fails", "factored", "g2_zero"])
 def test_classify_torus_failure_witnesses(monkeypatch, pair, c2, c3, note, factored):
     """The witnesses; condition (3) takes its gradient gcd on the quartic
     delta / T^2, so no sextic is factored."""
@@ -289,6 +292,19 @@ def test_classify_torus_failure_witnesses(monkeypatch, pair, c2, c3, note, facto
     assert (conditions.condition3.holds, conditions.condition3.witness) == c3
     assert report.notes == [note]
     assert len(_sextics_factored(monkeypatch, CoverSpec.torus(pair))) == factored
+
+
+@pytest.mark.parametrize("g3", [x0 ** 3 + x1 ** 3 + x2 ** 3, x0 * x1 * x2],
+                         ids=["fermat", "triangle"])
+def test_classify_torus_g2_zero_is_cyclic(g3):
+    """G2 = 0 gives the cyclic cover x3^3 + 2*G3 branched along 2T with
+    T = G3: every prime divides G2 = 0, so (3) holds, and (2) holds for a
+    squarefree G3."""
+    report = classify(CoverSpec.torus(TorusPair(MPoly.zero(X_VARS), g3)))
+    assert report.case == CASE_CUBIC_SURFACE
+    assert report.certificates["conditions"].all_hold()
+    assert (report.decomposition.S, report.decomposition.T) == (1, g3.monic())
+    assert cross_validate(report) == []
 
 
 def test_classify_torus_condition_failure():
@@ -391,10 +407,10 @@ def _counting(monkeypatch, module, name, seen):
 @pytest.mark.parametrize("index", range(6))
 def test_classify_flag_work_count(monkeypatch, index):
     """A flag classification builds D_f once and takes no exact gradient
-    gcd in ``rational_roots`` (whose polynomials live in (t)); its only one
-    decomposes an eliminant in (u1, u2) with a part of multiplicity 3 (a
-    center on a line through three flexes, as the first center is for the
-    Fermat cubic)."""
+    gcd on an eliminant in (u1, u2); its only one is the squarefree part,
+    inside ``rational_roots``, of an eliminant in (t) with a part of
+    multiplicity 3 (a center on a line through three flexes, as the first
+    center is for the Fermat cubic)."""
     f = (_seed91_cubics() + [FERMAT])[index]
     invariants, exact = [], []
     for module in (cover, etamap):
@@ -403,10 +419,33 @@ def test_classify_flag_work_count(monkeypatch, index):
     assert classify(CoverSpec.flag(f)).case == CASE_FLAG_BUNDLE
     monkeypatch.undo()
     assert len(invariants) == 1
-    assert [p.vars for (p,) in exact] == ([U_VARS] if f == FERMAT else [])
+    assert [p.vars for (p,) in exact] == ([T_VARS] if f == FERMAT else [])
     for (elim,) in exact:
         parts = polyring.squarefree_decomposition(elim).parts
         assert 3 in {mult for _, mult in parts}
+
+
+def test_classify_flag_accepts_center_on_an_irrational_flex_line(monkeypatch):
+    """The line through (0 : 0 : 1) and three flexes of this smooth cubic
+    has an irrational direction, so every rational direction lifts and the
+    first center is accepted.  Its eliminant has a part of multiplicity 3,
+    which is never decomposed in (u1, u2): the one exact gcd is the
+    squarefree part, in (t), that ``rational_roots`` takes."""
+    f = TernaryCubic.from_poly(
+        -2 * v0 ** 3 + 57 * v0 ** 2 * v1 - 45 * v0 ** 2 * v2 - 48 * v0 * v1 ** 2
+        + 108 * v0 * v1 * v2 - 108 * v0 * v2 ** 2 + 26 * v1 ** 3 - 198 * v1 ** 2 * v2
+        + 270 * v1 * v2 ** 2 - 162 * v2 ** 3)
+    centers, exact = [], []
+    inner = univar.project
+    monkeypatch.setattr(univar, "project",
+                        lambda g, h, c: centers.append(c) or inner(g, h, c))
+    _counting(monkeypatch, polyring, "_gradient_gcd", exact)
+    assert classify(CoverSpec.flag(f)).case == CASE_FLAG_BUNDLE
+    monkeypatch.undo()
+    assert centers == [(0, 0, 1)]
+    assert [p.vars for (p,) in exact] == [T_VARS]
+    assert {mult for _, mult in polyring.squarefree_decomposition(exact[0][0]).parts} \
+        == {1, 3}
 
 
 def _moved(point, perm):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from triplecover import etamap
+from triplecover import univar
 from triplecover.cover import derived_invariants
 from triplecover.errors import (
     DegenerateCover,
@@ -198,19 +198,29 @@ def test_total_branch_locus_fermat():
     }
 
 
+CLASSICAL_SINGULAR = (
+    v1 ** 3 + v2 ** 3 + v0 * v1 * v2,  # nodal
+    v0 ** 3 - v1 ** 2 * v2,  # cuspidal
+    (v0 * v2 - v1 ** 2) * (v0 - v2),  # conic and line
+    (v0 * v2 - v1 ** 2) * v2,  # conic and tangent
+    v0 * v1 * v2,  # triangle
+    v0 * v1 * (v0 + v1),  # concurrent lines
+    v0 ** 2 * v1 + v0 ** 2 * v2,  # double line
+    (v0 + 2 * v1 - v2) ** 3,  # triple line
+)
+
+
 def test_total_branch_locus_rejects_singular(monkeypatch):
-    triangle = TernaryCubic.from_poly(v0 * v1 * v2)
-    with pytest.raises(NotSmooth):
-        total_branch_locus(triangle)
-    # Hess(f) = 0 exactly for cones, and those and the zero cubic are
-    # rejected before any projection.
+    """Every classical singular cubic, cones (Hess(f) = 0) included, raises
+    NotSmooth with one message; they and the zero cubic are rejected before
+    any projection."""
     projections = []
-    inner = etamap.project
-    monkeypatch.setattr(etamap, "project",
+    inner = univar.project
+    monkeypatch.setattr(univar, "project",
                         lambda g, h, c: projections.append(c) or inner(g, h, c))
-    for cone in (v0 * v1 * (v0 + v1), v0 ** 2 * v1, (v0 + 2 * v1 - v2) ** 3):
-        with pytest.raises(NotSmooth, match="cone"):
-            total_branch_locus(TernaryCubic.from_poly(cone))
+    for form in CLASSICAL_SINGULAR:
+        with pytest.raises(NotSmooth, match="^the cubic is singular$"):
+            total_branch_locus(TernaryCubic.from_poly(form))
     with pytest.raises(DegenerateCubic):
         total_branch_locus(TernaryCubic((0,) * 10))
     assert projections == []

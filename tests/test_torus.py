@@ -87,12 +87,16 @@ def test_branch_identity_fixture():
 
 
 def test_branch_identity_random():
+    """``classify`` takes the torus branch form to be 4 * delta, so the
+    identity must hold when G2 or G3 vanishes too."""
     rng = random.Random(61)
+    zero = MPoly.zero(X_VARS)
     for _ in range(20):
-        pair = random_pair(rng)
-        cov = build_cover(pair)
-        D = derived_invariants(cov).D
-        assert homogenize(D, 6, X_VARS) == 4 * pair.delta()
+        base = random_pair(rng)
+        for pair in (base, TorusPair(zero, base.G3), TorusPair(base.G2, zero)):
+            if not pair.delta().is_zero():
+                D = derived_invariants(build_cover(pair)).D
+                assert homogenize(D, 6, X_VARS) == 4 * pair.delta()
 
 
 def test_surface_discriminant_identity():
@@ -192,6 +196,28 @@ def oracle_condition3(catalogue, pair):
     return True
 
 
+def _check_against_oracle(pair, g2_primes):
+    """Conditions (2) and (3) agree with the oracles, and a failing verdict
+    carries a sound witness.  ``g2_primes`` lists the primes of G2."""
+    verdict2 = condition2(pair)
+    assert verdict2.holds == oracle_condition2(g2_primes, pair.G3)
+    if not verdict2.holds:
+        ok, _ = divides(verdict2.witness, pair.G2)
+        assert ok
+        sq, _ = divides(squarefree_part(verdict2.witness) ** 2, pair.G3)
+        assert sq
+    verdict3 = condition3(pair)
+    if not verdict3.holds:
+        # Soundness of the reported witness.
+        w = squarefree_part(verdict3.witness)
+        sq, _ = divides(w ** 2, pair.delta())
+        assert sq
+        in_g2, _ = divides(w, pair.G2)
+        assert not in_g2
+    else:
+        assert oracle_condition3(LINEAR_POOL, pair)
+
+
 def test_condition_checkers_agree_with_oracle():
     rng = random.Random(71)
     checked = 0
@@ -208,24 +234,14 @@ def test_condition_checkers_agree_with_oracle():
         pair = TorusPair(g2, g3)
         if pair.delta().is_zero():
             continue
-        verdict2 = condition2(pair)
-        assert verdict2.holds == oracle_condition2(g2_factors, g3)
-        if not verdict2.holds:
-            ok, _ = divides(verdict2.witness, g2)
-            assert ok
-            sq, _ = divides(squarefree_part(verdict2.witness) ** 2, g3)
-            assert sq
-        verdict3 = condition3(pair)
-        if not verdict3.holds:
-            # Soundness of the reported witness.
-            w = squarefree_part(verdict3.witness)
-            sq, _ = divides(w ** 2, pair.delta())
-            assert sq
-            in_g2, _ = divides(w, g2)
-            assert not in_g2
-        else:
-            assert oracle_condition3(LINEAR_POOL, pair)
+        _check_against_oracle(pair, g2_factors)
         checked += 1
+    # Every prime divides G2 = 0: (3) holds, and (2) fails exactly when a
+    # prime squares into G3.
+    zero = MPoly.zero(X_VARS)
+    for _ in range(20):
+        l = [LINEAR_POOL[rng.randrange(len(LINEAR_POOL))] for _ in range(3)]
+        _check_against_oracle(TorusPair(zero, l[0] * l[1] * l[2]), LINEAR_POOL)
 
 
 # ---------------------------------------------------------------------------

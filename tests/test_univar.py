@@ -11,10 +11,11 @@ from pathlib import Path
 import pytest
 
 from triplecover import polyring, univar
-from triplecover.errors import TripleCoverError
-from triplecover.polyring import MPoly, T_VARS, U_VARS
+from triplecover.errors import CommonComponent, IndeterminateCount, TripleCoverError
+from triplecover.polyring import MPoly, T_VARS, U_VARS, X_VARS
 from triplecover.univar import (
     _simple_roots_mod_p,
+    common_points,
     eval_coeffs,
     from_univariate,
     interpolate,
@@ -226,9 +227,36 @@ def test_classify_without_mpmath():
     assert out.stdout.strip() == "FlagBundle"
 
 
+def test_common_points_skips_a_center_on_a_line_through_two_points(monkeypatch):
+    """The common points (1 : 0 : 1) and (1 : 0 : -1) share the direction
+    (1 : 0) from (0 : 0 : 1), so that center is refused; alone it leaves no
+    usable center."""
+    x0, x1, x2 = (MPoly.variable(X_VARS, v) for v in X_VARS)
+    g = x0 ** 2 - x2 ** 2 + x1 * x2
+    h = x2 ** 3 - x0 ** 2 * x2 + x1 ** 3
+    center, _, elim, points = common_points(g, h)
+    assert center != (0, 0, 1)
+    assert elim.total_degree() <= 6
+    assert sum(mult for _, mult in points) <= 6
+    found = {p for p, _ in points}
+    assert {(1, 0, 1), (1, 0, -1)} <= found
+    for p in found:
+        at = dict(zip(X_VARS, p))
+        assert not g.evaluate(at) and not h.evaluate(at)
+    monkeypatch.setattr(univar, "PROJECTION_CENTERS", ((0, 0, 1),))
+    with pytest.raises(IndeterminateCount):
+        common_points(g, h)
+
+
+def test_common_points_rejects_a_shared_component():
+    x0, x1, x2 = (MPoly.variable(X_VARS, v) for v in X_VARS)
+    with pytest.raises(CommonComponent):
+        common_points(x0 * x1 + x2 ** 2, (x0 * x1 + x2 ** 2) * (x0 - x2))
+
+
 def test_only_univar_projects():
-    """``project`` and ``projected_points`` are the one projection path: no
-    other module of the package calls ``linear_change`` or
+    """``common_points`` is the one projection path: no other module of the
+    package calls ``project``, ``projected_points``, ``linear_change`` or
     ``lift_direction``."""
     for path in Path(univar.__file__).parent.glob("*.py"):
         if path.name == "univar.py":
@@ -237,5 +265,6 @@ def test_only_univar_projects():
             if isinstance(node, ast.Call):
                 func = node.func
                 name = getattr(func, "id", getattr(func, "attr", None))
-                assert name not in {"linear_change", "lift_direction"}, \
+                assert name not in {"project", "projected_points",
+                                    "linear_change", "lift_direction"}, \
                     (path.name, node.lineno)
