@@ -351,6 +351,10 @@ def _classify_torus(pair: torus.TorusPair) -> ClassificationReport:
     report.decomposition = cover_mod.split_branch(4 * delta, gcd(pair.G2, pair.G3))
     _certify_line(report.certificates, report.decomposition.S)
     report.certificates["surface"] = torus.cubic_surface_form(pair)
+    if pair.G2.is_zero():
+        report.notes.append(
+            "G2 = 0: totally branched along the whole curve T = G3 = 0")
+        return report
     try:
         locus = torus.total_branch_points(pair)
         report.total_branch = {

@@ -9,7 +9,6 @@ probes used by the classifier.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,13 +22,7 @@ from .polyring import (
     homogenize,
     squarefree_decomposition,
 )
-from .univar import (
-    eval_coeffs,
-    from_univariate,
-    interpolate,
-    rational_roots,
-    to_univariate,
-)
+from .univar import rational_roots
 
 
 @dataclass(frozen=True)
@@ -95,12 +88,12 @@ class ResolventCubic:
     quad: MPoly  # -3A (z-form) or -3C (w-form)
     const: MPoly  # bB - 2aA (z-form) or cB - 2dC (w-form)
 
-    def as_poly(self, vars=UZW_VARS) -> MPoly:
-        """The cubic as a polynomial with its coordinate adjoined."""
-        y = MPoly.variable(vars, self.coordinate)
-        ident = {v: MPoly.variable(vars, v) for v in self.quad.vars}
-        quad = self.quad.substitute(ident, vars)
-        const = self.const.substitute(ident, vars)
+    def as_poly(self) -> MPoly:
+        """The cubic as a polynomial in (u1, u2, z, w)."""
+        y = MPoly.variable(UZW_VARS, self.coordinate)
+        ident = {v: MPoly.variable(UZW_VARS, v) for v in self.quad.vars}
+        quad = self.quad.substitute(ident, UZW_VARS)
+        const = self.const.substitute(ident, UZW_VARS)
         return y ** 3 + quad * y + const
 
 
@@ -126,27 +119,27 @@ def derived_invariants(cov: AffineCoverData) -> DerivedInvariants:
     return DerivedInvariants(A, B, C, D)
 
 
-def multiplication_table(cov: AffineCoverData, vars=UZW_VARS):
+def multiplication_table(cov: AffineCoverData):
     """phi(z^2), phi(z*w), phi(w^2) as polynomials in (u1, u2, z, w)."""
     inv = derived_invariants(cov)
-    ident = {v: MPoly.variable(vars, v) for v in cov.a.vars}
+    ident = {v: MPoly.variable(UZW_VARS, v) for v in cov.a.vars}
 
     def lift(p):
-        return p.substitute(ident, vars)
+        return p.substitute(ident, UZW_VARS)
 
-    z = MPoly.variable(vars, "z")
-    w = MPoly.variable(vars, "w")
+    z = MPoly.variable(UZW_VARS, "z")
+    w = MPoly.variable(UZW_VARS, "w")
     phi_zz = 2 * lift(inv.A) + lift(cov.a) * z + lift(cov.b) * w
     phi_zw = -lift(inv.B) - lift(cov.d) * z - lift(cov.a) * w
     phi_ww = 2 * lift(inv.C) + lift(cov.c) * z + lift(cov.d) * w
     return phi_zz, phi_zw, phi_ww
 
 
-def fiber_equations(cov: AffineCoverData, vars=UZW_VARS):
+def fiber_equations(cov: AffineCoverData):
     """The three quadrics z^2 - phi(z^2), zw - phi(zw), w^2 - phi(w^2)."""
-    phi_zz, phi_zw, phi_ww = multiplication_table(cov, vars)
-    z = MPoly.variable(vars, "z")
-    w = MPoly.variable(vars, "w")
+    phi_zz, phi_zw, phi_ww = multiplication_table(cov)
+    z = MPoly.variable(UZW_VARS, "z")
+    w = MPoly.variable(UZW_VARS, "w")
     return z * z - phi_zz, z * w - phi_zw, w * w - phi_ww
 
 
@@ -214,38 +207,62 @@ def restrict_to_line(cov: AffineCoverData, line) -> LineRestriction:
     )
 
 
+def _newton_lift(quad: MPoly, const: MPoly, r0: Fraction, n: int) -> MPoly:
+    """The root of y^3 + quad*y + const in Q[[t]] through the simple root
+    r0 at t = 0, modulo t^n.  Each step doubles the precision of the root r
+    and of v = 1 / (3r^2 + quad), as the p-adic lift of ``rational_roots``
+    does with p in place of t."""
+    def truncate(p, k):
+        return MPoly(T_VARS, {e: c for e, c in p.terms.items() if e[0] < k})
+
+    quad, const = truncate(quad, n), truncate(const, n)
+    r = MPoly.constant(T_VARS, r0)
+    v = MPoly.constant(T_VARS, 1 / (3 * r0 * r0 + quad.evaluate({"t": 0})))
+    k = 1
+    while k < n:
+        k = min(2 * k, n)
+        r = truncate(r - v * (r ** 3 + quad * r + const), k)
+        v = truncate(v * (2 - v * (3 * r * r + quad)), k)
+    return r
+
+
 def _polynomial_root_search(quad: MPoly, const: MPoly):
-    """Roots r in Q[t] of y^3 + quad*y + const, by sampling/interpolation.
+    """The least root r in Q[t] of y^3 + quad*y + const, or None.
 
-    Returns the first verified root or None.  quad and const live in (t).
+    quad and const live in (t).  A root of degree e has r^3 of degree 3e,
+    which only quad*r or const can cancel, so e is at most the bound
+    max(deg quad / 2, deg const / 3).  With a zero discriminant
+    -4*quad^3 - 27*const^2 the cubic is (y - a)^2 (y + 2a) with
+    a = -3*const / (2*quad), a polynomial since a^2 = -quad/3.  Otherwise
+    every root in Q[t] takes a rational value at the first sample t0 of
+    0, 1, -1, 2, ... off the discriminant, and that value is a simple root
+    of the cubic there.  Through a simple root passes exactly one root in
+    Q[[t - t0]], so the Newton lift of each rational root at t0 to degree
+    ``bound`` is the only candidate for a root through it.  Each candidate
+    is checked exactly.  Of the roots, the least by their values at the
+    first bound + 1 samples is returned.
     """
-    deg_quad = max(quad.total_degree(), 0)
-    deg_const = max(const.total_degree(), 0)
-    bound = max(-(-deg_quad // 2), -(-deg_const // 3))
-    quad_coeffs = to_univariate(quad, "t")
-    const_coeffs = to_univariate(const, "t")
-
-    samples = []
-    x = 0
-    while len(samples) < bound + 1:
-        samples.append(Fraction(x))
-        x = -x if x > 0 else -x + 1
-
-    options = []
-    for at in samples:
-        p = eval_coeffs(quad_coeffs, at)
-        q = eval_coeffs(const_coeffs, at)
-        roots = rational_roots([q, p, Fraction(0), Fraction(1)])
-        if not roots:
-            return None  # no rational value at this sample, no Q[t] root
-        options.append(roots)
-
-    for choice in itertools.product(*options):
-        coeffs = interpolate(samples, list(choice))
-        r = from_univariate(coeffs, T_VARS, "t")
-        if (r ** 3 + quad * r + const).is_zero():
-            return r
-    return None
+    t = MPoly.variable(T_VARS, "t")
+    bound = max(-(-max(quad.total_degree(), 0) // 2),
+                -(-max(const.total_degree(), 0) // 3))
+    disc = -4 * quad ** 3 - 27 * const ** 2
+    samples = [Fraction((i + 1) // 2 * (-1) ** (i + 1))
+               for i in range(max(bound, disc.total_degree()) + 1)]
+    if disc.is_zero():
+        a = MPoly.zero(T_VARS) if quad.is_zero() else exact_divide(2 * quad, -3 * const)
+        candidates = [a, -2 * a]
+    else:
+        t0 = next(x for x in samples if disc.evaluate({"t": x}))
+        shift = {"t": t + t0}
+        quad0, const0 = quad.substitute(shift), const.substitute(shift)
+        candidates = [
+            _newton_lift(quad0, const0, r0, bound + 1).substitute({"t": t - t0})
+            for r0 in rational_roots(
+                [const0.evaluate({"t": 0}), quad0.evaluate({"t": 0}), 0, 1])
+        ]
+    roots = [r for r in candidates if (r ** 3 + quad * r + const).is_zero()]
+    return min(roots, default=None,
+               key=lambda r: [r.evaluate({"t": x}) for x in samples[:bound + 1]])
 
 
 def is_line_cover_connected(lr: LineRestriction) -> ConnectivityVerdict:

@@ -143,10 +143,11 @@ def fiber_binary_cubic(f: TernaryCubic, point=None) -> BinaryCubic:
         "v2": MPoly.variable(UV_VARS, "v2"),
     }
     restricted = fp.substitute(assignment, UV_VARS)
-    buckets = restricted.collect(("v1", "v2"))
+    # Homogeneous of degree 3 in (v1, v2), so the power of v1 fixes that of v2.
+    buckets = restricted.coefficients_in("v1")
     entries = []
-    for key in ((3, 0), (2, 1), (1, 2), (0, 3)):
-        coeff = buckets.get(key, MPoly.zero(UV_VARS))
+    for k in (3, 2, 1, 0):
+        coeff = buckets.get(k, MPoly.zero(UV_VARS))
         coeff = MPoly(U_VARS, {
             (e[0], e[1]): c for e, c in coeff.terms.items()
         })

@@ -405,28 +405,6 @@ class MPoly:
             if any(bucket.values())
         }
 
-    def collect(self, subset_vars):
-        """Group terms by exponents of a variable subset.
-
-        Returns {subset exponent tuple: MPoly coefficient} where the
-        coefficients have the subset variables' exponents forced to zero.
-        """
-        idx = [self._var_index(v) for v in subset_vars]
-        buckets = {}
-        for exps, c in self.terms.items():
-            key = tuple(exps[i] for i in idx)
-            rest = list(exps)
-            for i in idx:
-                rest[i] = 0
-            bucket = buckets.setdefault(key, {})
-            rest = tuple(rest)
-            bucket[rest] = bucket.get(rest, Fraction(0)) + c
-        return {
-            key: self._raw({e: c for e, c in bucket.items() if c})
-            for key, bucket in buckets.items()
-            if any(bucket.values())
-        }
-
 
 # ---------------------------------------------------------------------------
 # Homogenization

@@ -122,9 +122,7 @@ def condition2(pair: TorusPair) -> ConditionVerdict:
     if pair.G2.is_zero() and pair.G3.is_zero():
         raise TripleCoverError("condition 2 with both forms zero")
     if pair.G3.is_zero():
-        # Every prime of G2 violates (2) since E^2 | 0.
-        if pair.G2.is_constant():
-            return ConditionVerdict(True)
+        # G2 is then a nonzero conic, and each of its primes fails (2): E^2 | 0.
         return ConditionVerdict(False, witness=squarefree_part(pair.G2))
     if pair.G2.is_zero():
         rep = repeated_part(pair.G3)

@@ -1,8 +1,9 @@
-"""Univariate helpers: coefficient lists, interpolation, rational roots, and
-the rational common points of two plane curves, found by projecting them
-onto a univariate eliminant.  ``common_points`` holds the one center policy
-that every finite locus of the package uses: the flexes of a cubic, the
-points G2 = G3 = 0 and the singular points of a cubic.
+"""Univariate helpers: coefficient lists, rational roots, and the rational
+common points of two plane curves, found by projecting them onto a
+univariate eliminant.  ``common_points`` holds the one center policy that
+every finite locus of the package uses: the flexes of a cubic, the points
+G2 = G3 = 0 and the singular points of a cubic.  ``interpolate`` has no
+caller in the package; it is kept only because the benchmark reports it.
 
 Everything is exact: rational roots come from p-adic lifting and are checked
 by evaluation, with no floating point anywhere.  The roots are lifted from

@@ -304,6 +304,7 @@ def test_classify_torus_g2_zero_is_cyclic(g3):
     assert report.case == CASE_CUBIC_SURFACE
     assert report.certificates["conditions"].all_hold()
     assert (report.decomposition.S, report.decomposition.T) == (1, g3.monic())
+    assert report.notes == ["G2 = 0: totally branched along the whole curve T = G3 = 0"]
     assert cross_validate(report) == []
 
 

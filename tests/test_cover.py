@@ -255,11 +255,14 @@ def test_disconnected_datum_detected():
 
 
 def test_disconnected_polynomial_root():
-    # b = u1^3: the z-resolvent is z^3 - 3 u1^2 z - 2 u1^3 = (z+u1)^2 (z-2u1)
-    cov = AffineCoverData(zero, one, zero, u1 ** 2)
+    # The z-resolvent is z^3 - 3 u1^2 z - 2 u1^3 = (z+u1)^2 (z-2u1), whose
+    # discriminant vanishes identically; on (t, 0) its roots are -t and 2t,
+    # and -t comes first by the values at the samples 0, 1.
+    cov = AffineCoverData(zero, one, 2 * u1 ** 3, -(u1 ** 2))
     lr = restrict_to_line(cov, (t, MPoly.zero(T_VARS)))
     verdict = is_line_cover_connected(lr)
     assert verdict.status == "disconnected"
+    assert verdict.witness_root == -t
 
 
 def test_total_branch_point_probe():

@@ -15,9 +15,11 @@ from sympy.polys.subresultants_qq_zz import sylvester  # noqa: E402
 
 from triplecover import polyring  # noqa: E402
 from triplecover.classify import CoverSpec, _singular_points, classify  # noqa: E402
+from triplecover.cover import LineRestriction, is_line_cover_connected  # noqa: E402
 from triplecover.etamap import TernaryCubic  # noqa: E402
 from triplecover.polyring import (  # noqa: E402
     MPoly,
+    T_VARS,
     U_VARS,
     V_VARS,
     X4_VARS,
@@ -28,7 +30,8 @@ from triplecover.polyring import (  # noqa: E402
 )
 from triplecover.univar import from_univariate, rational_roots  # noqa: E402
 
-GENS = {name: sympy.Symbol(name) for name in U_VARS + V_VARS + X4_VARS + ("x",)}
+GENS = {name: sympy.Symbol(name)
+        for name in T_VARS + U_VARS + V_VARS + X4_VARS + ("x", "y")}
 
 
 def to_sympy(p: MPoly):
@@ -281,6 +284,66 @@ def test_singular_points_match_sympy():
         assert report.certificates.get("singular_point") == \
             min(expected, key=_witness_key, default=None)
         checked += 1
+
+
+def polynomial_roots_oracle(quad: MPoly, const: MPoly):
+    """The roots in Q[t] of y^3 + quad*y + const, read off the factors of
+    degree 1 in y that sympy finds over Q[t, y]; a monic cubic has only
+    monic factors up to a constant, so each gives a polynomial root."""
+    t, y = GENS["t"], GENS["y"]
+    cubic = y ** 3 + to_sympy(quad).as_expr() * y + to_sympy(const).as_expr()
+    roots = []
+    for factor, _ in sympy.factor_list(cubic, t, y, domain="QQ")[1]:
+        linear = sympy.Poly(factor, y)
+        if linear.degree() == 1:
+            roots.append(sympy.expand(-linear.nth(0) / linear.nth(1)))
+    return roots
+
+
+def _random_resolvent(rng, kind, deg):
+    """(quad, const) of a resolvent of the given kind, roots of degree up to
+    deg: split (y - a)(y - b)(y + a + b), one root (y - r)(y^2 + r*y + s),
+    a zero discriminant (y - a)^2 (y + 2a), or random of degree up to 6."""
+    def poly(d):
+        return random_poly(rng, T_VARS, d, span=3)
+
+    if kind == "split":
+        a, b = poly(deg), poly(deg)
+        return a * b - (a + b) ** 2, a * b * (a + b)
+    if kind == "one":
+        r, s = poly(deg), poly(2 * deg)
+        return s - r * r, -r * s
+    if kind == "zero":
+        a = poly(deg)
+        return -3 * a * a, 2 * a ** 3
+    return poly(6), poly(6)
+
+
+def test_polynomial_root_search_matches_sympy():
+    """The connectivity witness is sympy's least root in Q[t] by its values
+    at 0, 1, -1, 2, ..., or None when sympy finds no root.  The last case
+    splits with roots of degree 8."""
+    rng = random.Random(106)
+    samples = [0, 1, -1, 2, -2, 3, -3, 4, -4, 5]
+    t, zero, one = (MPoly.variable(T_VARS, "t"), MPoly.zero(T_VARS),
+                    MPoly.constant(T_VARS, 1))
+    a = 2 * t ** 8 - t ** 5 + 3 * t - 1
+    b = -(t ** 8) + t ** 7 + 2
+    cases = [_random_resolvent(rng, kind, 2)
+             for kind in ("split", "one", "zero", "random") * 10]
+    cases.append((a * b - (a + b) ** 2, a * b * (a + b)))
+    for quad, const in cases:
+        if quad.is_zero() and const.is_zero():
+            continue
+        roots = polynomial_roots_oracle(quad, const)
+        verdict = is_line_cover_connected(
+            LineRestriction((t, zero), zero, one, -const, quad / 3))
+        if not roots:
+            assert (verdict.status, verdict.witness_root) == ("connected", None)
+            continue
+        least = min(roots, key=lambda r: [r.subs(GENS["t"], x) for x in samples])
+        assert verdict.status == "disconnected"
+        assert to_sympy(verdict.witness_root).as_expr() == least
 
 
 @settings(max_examples=60, deadline=None)

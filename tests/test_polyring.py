@@ -328,6 +328,24 @@ def test_only_the_kernel_certifies_squarefree():
         assert callers <= allowed, (path.name, callers)
 
 
+def test_no_unused_imports():
+    """Every name that a module of the package imports is used in it;
+    ``__init__`` imports only to re-export."""
+    for path in Path(polyring.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, (path.name, sorted(imported - used))
+
+
 def test_collect_and_coefficients_in():
     p = u1 ** 2 * u2 + 3 * u1 * u2 + u2 ** 2
     by_u2 = p.coefficients_in("u2")
