@@ -99,7 +99,6 @@ from .torus import (
     total_branch_points,
 )
 from .univar import (
-    from_univariate,
     interpolate,
     rational_roots,
     to_univariate,

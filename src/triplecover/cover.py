@@ -89,11 +89,11 @@ class ResolventCubic:
     const: MPoly  # bB - 2aA (z-form) or cB - 2dC (w-form)
 
     def as_poly(self) -> MPoly:
-        """The cubic as a polynomial in (u1, u2, z, w)."""
-        y = MPoly.variable(UZW_VARS, self.coordinate)
-        ident = {v: MPoly.variable(UZW_VARS, v) for v in self.quad.vars}
-        quad = self.quad.substitute(ident, UZW_VARS)
-        const = self.const.substitute(ident, UZW_VARS)
+        """The cubic as a polynomial in the data's variables and (z, w)."""
+        vars = self.quad.vars + ("z", "w")
+        y = MPoly.variable(vars, self.coordinate)
+        ident = {v: MPoly.variable(vars, v) for v in self.quad.vars}
+        quad, const = (p.substitute(ident, vars) for p in (self.quad, self.const))
         return y ** 3 + quad * y + const
 
 

@@ -6,11 +6,10 @@ graded lexicographic.  Everything downstream (cover data, discriminants,
 branch forms) is built on this module.
 
 The repeated-factor primitives ``repeated_part``, ``squarefree_part`` and
-``squarefree_decomposition`` first try to certify their input squarefree
-modulo the prime ``SQUAREFREE_MODULUS`` (a univariate polynomial directly,
-a ternary form on one line of ``SQUAREFREE_LINES``) and take the exact
-gradient gcd only when that test does not decide.  Both paths give the
-same values, so callers need not know which one ran.
+``squarefree_decomposition`` first try to certify a ternary form squarefree
+on one line of ``SQUAREFREE_LINES`` modulo the prime ``SQUAREFREE_MODULUS``
+and take the exact gradient gcd only when that test does not decide.  Both
+paths give the same values, so callers need not know which one ran.
 """
 
 from __future__ import annotations
@@ -466,18 +465,6 @@ PROJECTION_CENTERS = tuple(
 CHART_PERMS = ((0, 1, 2), (1, 0, 2), (2, 1, 0))
 
 
-def lift_direction(g: MPoly, h: MPoly, w0, w1):
-    """The w2 of the one common point (w0 : w1 : w2) of the ternary forms
-    g = h = 0 on the line through (0 : 0 : 1) and (w0 : w1 : 0), or None
-    when the squarefree gcd of g and h on that line is not linear."""
-    x = g.vars
-    at = {x[0]: w0, x[1]: w1, x[2]: MPoly.variable(x, x[2])}
-    line = squarefree_part(gcd(g.substitute(at, x), h.substitute(at, x)))
-    if line.total_degree() != 1:
-        return None
-    return -line.terms.get((0, 0, 0), Fraction(0))
-
-
 def linear_change(p: MPoly, matrix) -> MPoly:
     """p(M * vars): substitute each variable by a row combination."""
     vars = p.vars
@@ -823,27 +810,10 @@ def _squarefree_mod(coeffs, m):
 
 
 def _certified_squarefree(p: MPoly) -> bool:
-    """Is the nonconstant p certified squarefree modulo ``SQUAREFREE_MODULUS``?
-
-    A polynomial in one variable is reduced as its primitive integer
-    multiple f.  When the reduction keeps f's degree (the prime does not
-    divide the leading coefficient) and is coprime to its derivative, f has
-    no repeated factor over Q: by Gauss's lemma a factorization f = g^2 h
-    over Q is one over Z, and it reduces to one with a square factor of the
-    same degree.  A ternary form is certified by ``squarefree_line``.  False
-    means only that the test does not decide; every other shape gets False.
-    """
-    present = p.variables_present()
-    if len(present) == 1:
-        i, m = p.vars.index(present.pop()), SQUAREFREE_MODULUS
-        ints = [0] * (max(e[i] for e in p.terms) + 1)
-        for e, c in zip(p.terms, _clear_denominators(p.terms.values())):
-            ints[e[i]] = c
-        reduced = _trim_mod(ints, m)
-        return len(reduced) == len(ints) and _squarefree_mod(reduced, m)
-    if len(p.vars) == 3 and p.is_homogeneous():
-        return squarefree_line(p) is not None
-    return False
+    """Is the nonconstant p a ternary form that ``squarefree_line``
+    certifies squarefree modulo ``SQUAREFREE_MODULUS``?  False means only
+    that the test does not decide; every other shape gets False."""
+    return len(p.vars) == 3 and p.is_homogeneous() and squarefree_line(p) is not None
 
 
 def radical_divides(p: MPoly, q: MPoly):

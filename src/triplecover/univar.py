@@ -6,9 +6,9 @@ G2 = G3 = 0 and the singular points of a cubic.  ``interpolate`` has no
 caller in the package; it is kept only because the benchmark reports it.
 
 Everything is exact: rational roots come from p-adic lifting and are checked
-by evaluation, with no floating point anywhere.  The roots are lifted from
-the squarefree part, which ``polyring.squarefree_part`` takes (certifying a
-squarefree input modulo a prime, so it then costs no gcd).
+by evaluation, with no floating point anywhere.  The squarefree part of an
+eliminant and the point on a direction both come from one Euclid on integer
+coefficient lists (``_pseudo_divmod`` and ``_gcd``), never from ``MPoly``.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import CommonComponent, IndeterminateCount, TripleCoverError
-from .polyring import (PROJECTION_CENTERS, MPoly, T_VARS, U_VARS, _clear_denominators,
-                       dehomogenize, lift_direction, linear_change, projective_point,
-                       resultant, squarefree_part)
+from .polyring import (PROJECTION_CENTERS, MPoly, U_VARS, _clear_denominators,
+                       dehomogenize, linear_change, projective_point, resultant)
 
 
 def to_univariate(p: MPoly, var):
@@ -34,16 +33,6 @@ def to_univariate(p: MPoly, var):
     for exps, c in p.terms.items():
         coeffs[exps[i]] = c
     return coeffs
-
-
-def from_univariate(coeffs, vars, var) -> MPoly:
-    i = tuple(vars).index(var)
-    terms = {}
-    for d, c in enumerate(coeffs):
-        if c:
-            exps = tuple(d if j == i else 0 for j in range(len(vars)))
-            terms[exps] = Fraction(c)
-    return MPoly(vars, terms)
 
 
 def eval_coeffs(coeffs, at: Fraction) -> Fraction:
@@ -65,6 +54,31 @@ def root_multiplicity(coeffs, root):
         coeffs = derivative(coeffs)
         mult += 1
     return mult
+
+
+def _pseudo_divmod(a, b):
+    """Pseudo-division of ascending integer lists, b[-1] != 0: (q, r) with
+    b[-1]^k a = q b + r, k = max(len(a) - len(b) + 1, 0), and r trimmed."""
+    q, r, lead = [], list(a), b[-1]
+    while len(r) >= len(b):
+        c = r.pop()
+        q = [c] + [x * lead for x in q]
+        r = [x * lead for x in r]
+        for i, y in enumerate(b[:-1], len(r) - len(b) + 1):
+            r[i] -= c * y
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+def _gcd(a, b):
+    """The gcd of two ascending coefficient lists with nonzero leading
+    coefficients, as its primitive integer multiple: Euclid on primitive
+    pseudo-remainders (Knuth, TAOCP vol. 2, 4.6.1, Algorithms R and E)."""
+    a, b = _clear_denominators(a), _clear_denominators(b)
+    while b:
+        a, b = b, _clear_denominators(_pseudo_divmod(a, b)[1])
+    return a
 
 
 def interpolate(points, values):
@@ -132,8 +146,9 @@ def rational_roots(coeffs):
     """All rational roots of a univariate polynomial, sorted, each once.
 
     Exact p-adic search (Loos, SIAM J. Comput. 12, 1983).  For the
-    squarefree part f with integer coefficients and leading coefficient
-    ``lead``, every rational root r has a denominator dividing ``lead``, so
+    squarefree part f (the input over its gcd with its derivative) with
+    integer coefficients and leading coefficient ``lead``, every rational
+    root r has a denominator dividing ``lead``, so
     it reduces to a root mod any prime p not dividing ``lead``.  At a prime
     where every root mod p is simple, each lifts uniquely to a p-adic root
     by Newton's method; once p^k exceeds 2 |lead r| the symmetric residue
@@ -147,9 +162,8 @@ def rational_roots(coeffs):
         raise TripleCoverError("rational_roots of the zero polynomial")
     if len(coeffs) == 1:
         return []
-    t = T_VARS[0]
-    sqfree = squarefree_part(from_univariate(coeffs, T_VARS, t))
-    ints = _clear_denominators(to_univariate(sqfree, t))
+    ints = _clear_denominators(coeffs)
+    ints = _clear_denominators(_pseudo_divmod(ints, _gcd(ints, derivative(ints)))[0])
     lead = ints[-1]
     # |lead * r| < |lead| + max |a_i| (Cauchy), so residues mod a modulus
     # above twice that bound determine lead * r.
@@ -199,15 +213,30 @@ def project(g: MPoly, h: MPoly, center):
     return m, g, h, resultant(dehomogenize(g, U_VARS), dehomogenize(h, U_VARS), "u2")
 
 
+def _lift_direction(g: MPoly, h: MPoly, w0, w1):
+    """The w2 of the one common point (w0 : w1 : w2) of the ternary forms
+    g = h = 0 on the line through (0 : 0 : 1) and (w0 : w1 : 0), or None
+    when the gcd G of g and h on that line, of degree d, is not a multiple
+    of (x2 - r)^d with r = -G[d - 1] / (d G[d])."""
+    lines = [[Fraction(0)] * (form.total_degree() + 1) for form in (g, h)]
+    for line, form in zip(lines, (g, h)):
+        for (i, j, k), c in form.terms.items():
+            line[k] += c * w0 ** i * w1 ** j
+    common = _gcd(*lines)
+    d = len(common) - 1
+    r = Fraction(-common[d - 1], d * common[d]) if d else None
+    return r if d and root_multiplicity(common, r) == d else None
+
+
 def projected_points(projection):
     """The rational common points of a ``project`` result with a nonzero
     eliminant, each as (point, multiplicity of its direction), or None when
     a rational direction holds more than one common point.
 
     The rational directions are (1 : t) for the rational roots t of the
-    eliminant, and (0 : 1) when its degree falls short.  ``lift_direction``
-    lifts each to its one common point, which is then rational, and M maps
-    it back.
+    eliminant, and (0 : 1) when its degree falls short.  Each is lifted to
+    its one common point, which is then rational, by the univariate gcd of
+    g and h restricted to it (``_lift_direction``), and M maps it back.
     """
     m, g, h, elim = projection
     coeffs = to_univariate(elim, "u1")
@@ -218,7 +247,7 @@ def projected_points(projection):
         directions.append(((Fraction(0), Fraction(1)), deficit))
     points = []
     for (w0, w1), mult in directions:
-        w2 = lift_direction(g, h, w0, w1)
+        w2 = _lift_direction(g, h, w0, w1)
         if w2 is None:
             return None
         point = [sum(r * c for r, c in zip(row, (w0, w1, w2))) for row in m]

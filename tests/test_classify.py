@@ -20,7 +20,7 @@ from triplecover import cover, etamap, polyring, torus, univar
 from triplecover.cover import AffineCoverData, branch_decomposition, derived_invariants
 from triplecover.errors import DegenerateCover, DegenerateCubic
 from triplecover.etamap import TernaryCubic, eta
-from triplecover.polyring import MPoly, T_VARS, U_VARS, V_VARS, X_VARS, gcd, linear_change
+from triplecover.polyring import MPoly, U_VARS, V_VARS, X_VARS, gcd, linear_change
 from triplecover.torus import TorusPair, build_cover
 
 FERMAT = TernaryCubic((1, 0, 0, 0, 0, 0, 1, 0, 0, 1))
@@ -408,10 +408,10 @@ def _counting(monkeypatch, module, name, seen):
 @pytest.mark.parametrize("index", range(6))
 def test_classify_flag_work_count(monkeypatch, index):
     """A flag classification builds D_f once and takes no exact gradient
-    gcd on an eliminant in (u1, u2); its only one is the squarefree part,
-    inside ``rational_roots``, of an eliminant in (t) with a part of
-    multiplicity 3 (a center on a line through three flexes, as the first
-    center is for the Fermat cubic)."""
+    gcd, not even for an eliminant with a part of multiplicity 3 (a center
+    on a line through three flexes, as the first center is for the Fermat
+    cubic): ``rational_roots`` takes its squarefree part on coefficient
+    lists."""
     f = (_seed91_cubics() + [FERMAT])[index]
     invariants, exact = [], []
     for module in (cover, etamap):
@@ -420,33 +420,33 @@ def test_classify_flag_work_count(monkeypatch, index):
     assert classify(CoverSpec.flag(f)).case == CASE_FLAG_BUNDLE
     monkeypatch.undo()
     assert len(invariants) == 1
-    assert [p.vars for (p,) in exact] == ([T_VARS] if f == FERMAT else [])
-    for (elim,) in exact:
-        parts = polyring.squarefree_decomposition(elim).parts
-        assert 3 in {mult for _, mult in parts}
+    assert exact == []
 
 
 def test_classify_flag_accepts_center_on_an_irrational_flex_line(monkeypatch):
     """The line through (0 : 0 : 1) and three flexes of this smooth cubic
     has an irrational direction, so every rational direction lifts and the
     first center is accepted.  Its eliminant has a part of multiplicity 3,
-    which is never decomposed in (u1, u2): the one exact gcd is the
-    squarefree part, in (t), that ``rational_roots`` takes."""
+    and no exact gradient gcd is taken for it."""
     f = TernaryCubic.from_poly(
         -2 * v0 ** 3 + 57 * v0 ** 2 * v1 - 45 * v0 ** 2 * v2 - 48 * v0 * v1 ** 2
         + 108 * v0 * v1 * v2 - 108 * v0 * v2 ** 2 + 26 * v1 ** 3 - 198 * v1 ** 2 * v2
         + 270 * v1 * v2 ** 2 - 162 * v2 ** 3)
-    centers, exact = [], []
+    projections, exact = {}, []
     inner = univar.project
-    monkeypatch.setattr(univar, "project",
-                        lambda g, h, c: centers.append(c) or inner(g, h, c))
+
+    def recording(g, h, center):
+        projections[center] = inner(g, h, center)
+        return projections[center]
+
+    monkeypatch.setattr(univar, "project", recording)
     _counting(monkeypatch, polyring, "_gradient_gcd", exact)
     assert classify(CoverSpec.flag(f)).case == CASE_FLAG_BUNDLE
     monkeypatch.undo()
-    assert centers == [(0, 0, 1)]
-    assert [p.vars for (p,) in exact] == [T_VARS]
-    assert {mult for _, mult in polyring.squarefree_decomposition(exact[0][0]).parts} \
-        == {1, 3}
+    assert list(projections) == [(0, 0, 1)]
+    assert exact == []
+    elim = projections[(0, 0, 1)][3]
+    assert {mult for _, mult in polyring.squarefree_decomposition(elim).parts} == {1, 3}
 
 
 def _moved(point, perm):

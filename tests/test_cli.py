@@ -1,7 +1,9 @@
 """Tests for the tck command line tool."""
 
 import argparse
+import itertools
 import json
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -320,3 +322,60 @@ def test_readme_documents_every_option():
     section = section.split("\n## ", 1)[0]
     documented = set(re.findall(r"--[a-z][a-z0-9-]*", section))
     assert _long_options(build_parser()) == documented
+
+
+def _random_text(rng, vars, deg, dense, height):
+    """A random polynomial as text: a form of degree deg in (x) or (v), of
+    degree at most deg in (u1, u2); every monomial when dense, one to three
+    of them otherwise, with coefficients in [-height, height]."""
+    monomials = [e for e in itertools.product(range(deg + 1), repeat=len(vars))
+                 if sum(e) == deg or len(vars) == 2 and sum(e) < deg]
+    if not dense:
+        monomials = rng.sample(monomials, min(len(monomials), rng.randint(1, 3)))
+    return "+".join(
+        "*".join(["(%d)" % rng.randint(-height, height)]
+                 + ["%s^%d" % (v, k) for v, k in zip(vars, e) if k])
+        for e in monomials)
+
+
+def _random_argv(rng):
+    """One seeded ``tck`` invocation: sparse or dense forms, with small or
+    up to 40-digit coefficients."""
+    dense, height = rng.random() < 0.5, rng.choice([3, 10 ** 40])
+
+    def form(vars, deg):
+        return _random_text(rng, vars, deg, dense, height)
+
+    def raw():
+        return ["--a=" + form(U, 1), "--b=" + form(U, 1), "--c=" + form(U, 2),
+                "--d=" + form(U, 1)]
+
+    X, V, U = ("x0", "x1", "x2"), ("v0", "v1", "v2"), ("u1", "u2")
+    torus_args = ["--g2=" + form(X, 2), "--g3=" + form(X, 3)]
+    point = ",".join(str(rng.randint(-2, 2)) for _ in range(3))
+    command = rng.choice(["flag", "torus", "raw", "total-branch", "branch",
+                          "restrict-line", "cusp-check"])
+    argv = {
+        "flag": lambda: ["classify", "--flag-cubic=" + form(V, 3)],
+        "torus": lambda: ["classify"] + torus_args,
+        "raw": lambda: ["classify"] + raw(),
+        "total-branch": lambda: ["total-branch"] + rng.choice(
+            [["--cubic=" + form(V, 3)], torus_args]),
+        "branch": lambda: ["branch"] + raw(),
+        "restrict-line": lambda: ["restrict-line"] + raw() + [
+            "--u1=%d*t+%d" % (rng.randint(0, 3), rng.randint(0, 3)), "--u2=t"],
+        "cusp-check": lambda: ["cusp-check", "--branch=" + form(X, 6),
+                               "--point=" + point],
+    }[command]()
+    return argv + ["--format", rng.choice(["text", "json"])]
+
+
+def test_cli_contract_on_random_inputs(capsys):
+    """Seeded random invocations of ``classify`` (flag, torus and raw),
+    ``total-branch``, ``branch``, ``restrict-line`` and ``cusp-check``
+    return one of the documented exit codes 0 to 4 and raise nothing."""
+    rng = random.Random(2012)
+    for _ in range(200):
+        argv = _random_argv(rng)
+        assert run(argv) in range(5), argv
+        capsys.readouterr()

@@ -108,6 +108,28 @@ def test_resolvent_as_poly():
     assert p.degree_in("z") == 3
     assert p.coefficients_in("z")[3].is_constant()
     assert (p - z ** 3).degree_in("z") <= 1
+    ident = {v: MPoly.variable(UZW_VARS, v) for v in U_VARS}
+    assert p.vars == UZW_VARS
+    assert p == z ** 3 + res.quad.substitute(ident, UZW_VARS) * z \
+        + res.const.substitute(ident, UZW_VARS)
+
+
+def test_resolvent_as_poly_over_a_line():
+    """A resolvent over (t), from a line restriction, adjoins z and w to t;
+    it is the chart resolvent restricted to the line."""
+    zero, one_ = MPoly.zero(U_VARS), MPoly.constant(U_VARS, 1)
+    tzw = T_VARS + ("z", "w")
+    z = MPoly.variable(tzw, "z")
+    ident = {"t": MPoly.variable(tzw, "t")}
+    for cov, line in [(AffineCoverData(zero, one_, zero, one_), (t, t)),
+                      (FERMAT, (t, 2 * t + 1))]:
+        lr = restrict_to_line(cov, line)
+        p = resolvent_cubic(AffineCoverData(lr.aL, lr.bL, lr.cL, lr.dL), "z").as_poly()
+        chart = resolvent_cubic(cov, "z")
+        on_line = [q.substitute(dict(zip(U_VARS, line)), T_VARS).substitute(ident, tzw)
+                   for q in (chart.quad, chart.const)]
+        assert p.vars == tzw
+        assert p == z ** 3 + on_line[0] * z + on_line[1]
 
 
 def test_fiber_equations_shape():

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 from sympy.polys.subresultants_qq_zz import sylvester  # noqa: E402
 
-from triplecover import polyring  # noqa: E402
+from triplecover import univar  # noqa: E402
 from triplecover.classify import CoverSpec, _singular_points, classify  # noqa: E402
 from triplecover.cover import LineRestriction, is_line_cover_connected  # noqa: E402
 from triplecover.etamap import TernaryCubic  # noqa: E402
@@ -23,12 +23,13 @@ from triplecover.polyring import (  # noqa: E402
     U_VARS,
     V_VARS,
     X4_VARS,
+    X_VARS,
     gcd,
     resultant,
     squarefree_decomposition,
     squarefree_line,
 )
-from triplecover.univar import from_univariate, rational_roots  # noqa: E402
+from triplecover.univar import rational_roots  # noqa: E402
 
 GENS = {name: sympy.Symbol(name)
         for name in T_VARS + U_VARS + V_VARS + X4_VARS + ("x", "y")}
@@ -365,28 +366,15 @@ def test_rational_roots_finds_planted(roots, repeats, scale, free):
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(0, 2 ** 32 - 1),
-    repeated=st.booleans(),
-    modulus=st.sampled_from([3, 5, 7, 2 ** 31 - 1]),
-)
-def test_squarefree_mod_p_agrees_with_sympy(seed, repeated, modulus):
+@given(seed=st.integers(0, 2 ** 32 - 1), repeated=st.booleans())
+def test_squarefree_mod_p_agrees_with_sympy(seed, repeated):
     """A random integer polynomial of degree up to 12, with a planted
-    repeated factor in half the cases: whenever the kernel's modular test
-    certifies it, sympy finds it squarefree, and its rational roots are
-    sympy's."""
+    repeated factor in half the cases: its rational roots are sympy's."""
     rng = random.Random(seed)
 
     def factor(deg):
         coeffs = [Fraction(rng.randint(-20, 20)) for _ in range(deg)]
         return coeffs + [Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))]
-
-    def times(a, b):
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return out
 
     coeffs = factor(rng.randint(0, 6))
     if repeated:
@@ -394,10 +382,89 @@ def test_squarefree_mod_p_agrees_with_sympy(seed, repeated, modulus):
         coeffs = times(coeffs, times(root, root))
     else:
         coeffs = times(coeffs, factor(rng.randint(1, 6)))
-    x = GENS["x"]
-    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
-                       for c in reversed(coeffs)], x, domain="QQ")
-    with mock.patch.object(polyring, "SQUAREFREE_MODULUS", modulus):
-        if polyring._certified_squarefree(from_univariate(coeffs, ("x",), "x")):
-            assert all(m == 1 for _, m in sympy.sqf_list(poly)[1])
-        assert rational_roots(coeffs) == univariate_roots_oracle(coeffs)
+    assert rational_roots(coeffs) == univariate_roots_oracle(coeffs)
+
+
+def times(a, b):
+    """The product of two ascending coefficient lists."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def to_sympy_univariate(coeffs):
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(coeffs)], GENS["x"], domain="QQ")
+
+
+def monic_coeffs(poly):
+    """The ascending coefficients of a nonzero sympy Poly made monic."""
+    return [Fraction(int(c.p), int(c.q)) for c in reversed(poly.monic().all_coeffs())]
+
+
+def test_list_gcd_and_squarefree_part_match_sympy():
+    """``univar._gcd`` is sympy's gcd, and the squarefree part that
+    ``rational_roots`` lifts from is sympy's ``sqf_part``, both up to a
+    scalar, on products with planted common and repeated factors and
+    coefficients up to 10^40."""
+    rng = random.Random(116)
+
+    def factor(deg, height):
+        return [Fraction(rng.randint(-height, height), rng.randint(1, height))
+                for _ in range(deg)] + [Fraction(rng.randint(1, height))]
+
+    def monic(coeffs):
+        return [Fraction(c) / coeffs[-1] for c in coeffs]
+
+    for _ in range(30):
+        common = factor(rng.randint(0, 3), 10 ** 40)
+        a = times(common, factor(rng.randint(0, 4), 50))
+        b = times(common, factor(rng.randint(0, 4), 50))
+        assert monic(univar._gcd(a, b)) == monic_coeffs(
+            sympy.gcd(to_sympy_univariate(a), to_sympy_univariate(b)))
+        p = factor(rng.randint(0, 3), 10 ** 40)
+        for _ in range(rng.randint(1, 3)):
+            repeated = factor(rng.randint(1, 2), 10 ** 40)
+            for _ in range(rng.randint(1, 3)):
+                p = times(p, repeated)
+        if len(p) == 1:
+            continue
+        with mock.patch.object(univar, "_simple_roots_mod_p",
+                               wraps=univar._simple_roots_mod_p) as lifted:
+            rational_roots(p)
+        (sqfree,), _ = lifted.call_args
+        assert monic(sqfree) == monic_coeffs(sympy.sqf_part(to_sympy_univariate(p)))
+
+
+@pytest.mark.parametrize("kind", ["transversal", "tangent", "two points", "conjugate"])
+def test_lift_direction_matches_sympy(kind):
+    """On the line through (0 : 0 : 1) and (w0 : w1 : 0) the forms
+    g = m A + l B and h = m A' + l B' meet where m does, l being the line's
+    equation: once transversally or tangentially, or at two points.  The
+    lift returns x2 exactly when sympy's squarefree gcd of g and h on the
+    line is linear, and that is its root."""
+    rng = random.Random(kind)
+    x0, x1, x2 = (MPoly.variable(X_VARS, v) for v in X_VARS)
+    for _ in range(10):
+        w0, w1 = rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(-3, 3)
+        r1 = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        m1, m2 = w0 * x2 - r1 * x0, w0 * x2 - (r1 + rng.randint(1, 9)) * x0
+        m = {"transversal": m1, "tangent": m1 ** 2, "two points": m1 * m2,
+             "conjugate": x2 ** 2 + rng.randint(1, 5) ** 2 * 2 * x0 ** 2}[kind]
+        line = w1 * x0 - w0 * x1
+        forms = [m * random_form(rng, X_VARS, 1) + line * random_form(rng, X_VARS, m.total_degree())
+                 for _ in range(2)]
+        at = {"x0": w0, "x1": w1, "x2": GENS["x2"]}
+        on_line = [sympy.Poly(to_sympy(f).as_expr().subs(at), GENS["x2"]) for f in forms]
+        if any(p.degree() < f.total_degree() for p, f in zip(on_line, forms)):
+            continue  # (0 : 0 : 1) lies on a form
+        common = sympy.sqf_part(sympy.gcd(*on_line))
+        want = -common.all_coeffs()[1] / common.LC() if common.degree() == 1 else None
+        got = univar._lift_direction(*forms, Fraction(w0), Fraction(w1))
+        assert got == want
+        if kind in ("transversal", "tangent"):
+            assert got == r1
+        else:
+            assert got is None

@@ -22,7 +22,6 @@ from triplecover.polyring import (
     exact_divide,
     gcd,
     homogenize,
-    lift_direction,
     radical_divides,
     repeated_part,
     resultant,
@@ -179,17 +178,6 @@ def test_kernel_imports_only_errors_and_stdlib():
                 assert module.split(".")[0] in sys.stdlib_module_names, module
 
 
-def test_lift_direction():
-    x0, x1, x2 = (MPoly.variable(X_VARS, v) for v in X_VARS)
-    g = x2 ** 2 - x0 * x1
-    # On the line (1 : 4 : w2) the conic g meets x2 - x1/2 only at w2 = 2.
-    assert lift_direction(g, 2 * x2 - x1, 1, 4) == 2
-    # x2 = +-2 both lie on g and on x2^2 - 4 x0^2: two points, no lift.
-    assert lift_direction(g, x2 ** 2 - 4 * x0 ** 2, 1, 4) is None
-    # No common point on the line.
-    assert lift_direction(g, x2 - x0, 1, 4) is None
-
-
 def test_resultant_univariate():
     # Res(x - a, x - b) = b - a up to sign convention
     t = ("x",)
@@ -326,6 +314,19 @@ def test_only_the_kernel_certifies_squarefree():
         }
         allowed = {"_certify_line"} if path.name == "classify.py" else set()
         assert callers <= allowed, (path.name, callers)
+
+
+def test_no_unreferenced_private_functions():
+    """Every module-level function of the package whose name starts with
+    ``_`` is referenced somewhere in the package."""
+    trees = [ast.parse(path.read_text())
+             for path in Path(polyring.__file__).parent.glob("*.py")]
+    used = {getattr(node, "id", getattr(node, "attr", None))
+            for tree in trees for node in ast.walk(tree)}
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+                assert node.name in used, node.name
 
 
 def test_no_unused_imports():

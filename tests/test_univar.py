@@ -17,7 +17,6 @@ from triplecover.univar import (
     _simple_roots_mod_p,
     common_points,
     eval_coeffs,
-    from_univariate,
     interpolate,
     rational_roots,
     to_univariate,
@@ -42,7 +41,7 @@ def test_to_univariate_round_trip():
     p = 3 * t ** 2 - t + Fraction(1, 2)
     coeffs = to_univariate(p, "t")
     assert coeffs == [Fraction(1, 2), Fraction(-1), Fraction(3)]
-    assert from_univariate(coeffs, T_VARS, "t") == p
+    assert sum(c * t ** k for k, c in enumerate(coeffs)) == p
 
 
 def test_to_univariate_rejects_other_variables():
@@ -164,11 +163,7 @@ def _counting_gradient_gcd(monkeypatch):
     return seen
 
 
-def _certified(coeffs):
-    return polyring._certified_squarefree(from_univariate(coeffs, T_VARS, "t"))
-
-
-@pytest.mark.parametrize("roots, scale, certified", [
+@pytest.mark.parametrize("roots, scale, squarefree_mod_p", [
     # Squarefree over Q with a double root mod p: p^2 divides the
     # discriminant.
     ([1, 1 + P], 1, False),
@@ -181,33 +176,43 @@ def _certified(coeffs):
     # Coefficients above 10^40, with a double root.
     ([10 ** 41 + 7, 10 ** 41 + 7, -(10 ** 40) - 3], 1, False),
 ])
-def test_rational_roots_modular_certificate(monkeypatch, roots, scale, certified):
-    """Each planted root comes back once, whether the prime certifies the
-    polynomial squarefree or the exact gradient gcd is taken."""
-    assert polyring.SQUAREFREE_MODULUS == P
+def test_rational_roots_modular_certificate(monkeypatch, roots, scale, squarefree_mod_p):
+    """Each planted root comes back once, whether or not the polynomial
+    stays squarefree of full degree modulo p, and ``rational_roots`` takes
+    its squarefree part on coefficient lists: no ``MPoly`` gcd runs."""
     coeffs = planted(roots, scale=scale)
-    assert _certified(coeffs) == certified
-    seen = _counting_gradient_gcd(monkeypatch)
+    ints = polyring._clear_denominators(coeffs)
+    reduced = polyring._trim_mod(ints, P)
+    assert (len(reduced) == len(ints)
+            and polyring._squarefree_mod(reduced, P)) == squarefree_mod_p
+    assert not {"gcd", "squarefree_part", "repeated_part"} & set(vars(univar))
+    seen = []
+    for name in ("gcd", "squarefree_part", "_gradient_gcd"):
+        inner = getattr(polyring, name)
+        monkeypatch.setattr(polyring, name,
+                            lambda *args, inner=inner: seen.append(args) or inner(*args))
     assert rational_roots(coeffs) == sorted(set(Fraction(r) for r in roots))
-    assert len(seen) == (0 if certified else 1)
+    assert seen == []
 
 
 def test_squarefree_mod_p_reads_the_modulus_at_call_time(monkeypatch):
-    # (t - 1)(t - 4) is squarefree modulo every prime but 3.
-    coeffs = planted([1, 4])
+    # A constant takes neither test, whatever the modulus; ternary forms
+    # read it at call time (see test_classify).
     seen = _counting_gradient_gcd(monkeypatch)
-    assert _certified(coeffs)
-    assert rational_roots(coeffs) == [1, 4]
-    assert seen == []
     monkeypatch.setattr(polyring, "SQUAREFREE_MODULUS", 3)
-    assert not _certified(coeffs)
-    assert rational_roots(coeffs) == [1, 4]
-    assert len(seen) == 1
-    # A constant takes neither test; t^3 - t + 1 is squarefree modulo 3,
-    # whose derivative 3 t^2 - 1 reduces to -1.
     assert polyring.repeated_part(MPoly.constant(T_VARS, 5)) == 1
-    assert _certified([1, -1, 0, 1])
-    assert len(seen) == 1
+    assert seen == []
+
+
+def test_lift_direction():
+    x0, x1, x2 = (MPoly.variable(X_VARS, v) for v in X_VARS)
+    g = x2 ** 2 - x0 * x1
+    # On the line (1 : 4 : w2) the conic g meets x2 - x1/2 only at w2 = 2.
+    assert univar._lift_direction(g, 2 * x2 - x1, 1, 4) == 2
+    # x2 = +-2 both lie on g and on x2^2 - 4 x0^2: two points, no lift.
+    assert univar._lift_direction(g, x2 ** 2 - 4 * x0 ** 2, 1, 4) is None
+    # No common point on the line.
+    assert univar._lift_direction(g, x2 - x0, 1, 4) is None
 
 
 def test_classify_without_mpmath():
@@ -257,7 +262,7 @@ def test_common_points_rejects_a_shared_component():
 def test_only_univar_projects():
     """``common_points`` is the one projection path: no other module of the
     package calls ``project``, ``projected_points``, ``linear_change`` or
-    ``lift_direction``."""
+    ``_lift_direction``."""
     for path in Path(univar.__file__).parent.glob("*.py"):
         if path.name == "univar.py":
             continue
@@ -266,5 +271,5 @@ def test_only_univar_projects():
                 func = node.func
                 name = getattr(func, "id", getattr(func, "attr", None))
                 assert name not in {"project", "projected_points",
-                                    "linear_change", "lift_direction"}, \
+                                    "linear_change", "_lift_direction"}, \
                     (path.name, node.lineno)
