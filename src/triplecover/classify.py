@@ -94,10 +94,13 @@ def a2_cusp_check(branch_form: MPoly, point) -> dict:
     """Jet test for an ordinary cusp of a plane curve at a rational point.
 
     The quadratic jet at the point must be a nonzero perfect square l^2 and
-    l must not divide the cubic jet.
+    l must not divide the cubic jet.  The branch form is a nonzero ternary
+    form of any degree.
     """
-    if branch_form.vars != X_VARS:
-        raise TripleCoverError("branch form must live in (x0, x1, x2)")
+    if branch_form.vars != X_VARS or not branch_form.is_homogeneous():
+        raise TripleCoverError("branch form must be a form in (x0, x1, x2)")
+    if branch_form.is_zero():
+        raise DegenerateCover("cusp check of the zero form")
     perm, point, p = _to_chart(point)
     chart = dehomogenize(branch_form.permute_vars(perm), U_VARS)
     translated = chart.substitute(

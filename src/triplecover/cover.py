@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateCover, MultiplicityTooHigh, TripleCoverError
+from .polyparse import print_poly
 from .polyring import (
     MPoly,
     T_VARS,
@@ -182,7 +183,7 @@ def branch_decomposition(D: MPoly) -> BranchDecomposition:
             T = T * factor
         elif mult > 2:
             raise MultiplicityTooHigh(
-                "branch factor %r has multiplicity %d" % (factor, mult)
+                "branch factor %s has multiplicity %d" % (print_poly(factor), mult)
             )
     return split_branch(form, T)
 

@@ -132,33 +132,22 @@ def fiber_binary_cubic(f: TernaryCubic, point=None) -> BinaryCubic:
     """Restriction of f to the lines through a chart point.
 
     Symbolic when ``point`` is None (entries in (u1, u2)), otherwise the
-    entries are evaluated at the rational chart point.
+    rational chart point is put into v0 = -u1*v1 - u2*v2 before expanding,
+    so the entries are constants.
     """
-    fp = f.as_poly()
-    v0 = -MPoly.variable(UV_VARS, "u1") * MPoly.variable(UV_VARS, "v1") \
-        - MPoly.variable(UV_VARS, "u2") * MPoly.variable(UV_VARS, "v2")
-    assignment = {
-        "v0": v0,
-        "v1": MPoly.variable(UV_VARS, "v1"),
-        "v2": MPoly.variable(UV_VARS, "v2"),
-    }
-    restricted = fp.substitute(assignment, UV_VARS)
+    v1, v2 = MPoly.variable(UV_VARS, "v1"), MPoly.variable(UV_VARS, "v2")
+    if point is None:
+        u1, u2 = MPoly.variable(UV_VARS, "u1"), MPoly.variable(UV_VARS, "u2")
+    else:
+        u1, u2 = (Fraction(c) for c in point)
+    restricted = f.as_poly().substitute(
+        {"v0": -u1 * v1 - u2 * v2, "v1": v1, "v2": v2}, UV_VARS)
     # Homogeneous of degree 3 in (v1, v2), so the power of v1 fixes that of v2.
     buckets = restricted.coefficients_in("v1")
-    entries = []
-    for k in (3, 2, 1, 0):
-        coeff = buckets.get(k, MPoly.zero(UV_VARS))
-        coeff = MPoly(U_VARS, {
-            (e[0], e[1]): c for e, c in coeff.terms.items()
-        })
-        entries.append(coeff)
-    bc = BinaryCubic(*entries)
-    if point is None:
-        return bc
-    u1, u2 = point
-    at = {"u1": Fraction(u1), "u2": Fraction(u2)}
     return BinaryCubic(*[
-        MPoly.constant(U_VARS, e.evaluate(at)) for e in bc.entries()
+        MPoly(U_VARS, {e[:2]: c for e, c in buckets[k].terms.items()})
+        if k in buckets else MPoly.zero(U_VARS)
+        for k in (3, 2, 1, 0)
     ])
 
 

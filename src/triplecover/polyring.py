@@ -7,9 +7,11 @@ branch forms) is built on this module.
 
 The repeated-factor primitives ``repeated_part``, ``squarefree_part`` and
 ``squarefree_decomposition`` first try to certify a ternary form squarefree
-on one line of ``SQUAREFREE_LINES`` modulo the prime ``SQUAREFREE_MODULUS``
-and take the exact gradient gcd only when that test does not decide.  Both
-paths give the same values, so callers need not know which one ran.
+on one line of ``SQUAREFREE_LINES``, exactly over the integers, and take the
+exact gradient gcd only when that test does not decide.  Both paths give the
+same values, so callers need not know which one ran.  The line test runs on
+coefficient lists with ``_gcd``, the one univariate Euclid of the package,
+which ``univar`` also uses for rational roots and direction lifts.
 """
 
 from __future__ import annotations
@@ -734,9 +736,6 @@ def repeated_part(p: MPoly) -> MPoly:
 # tangent, which small-integer points often do.
 SQUAREFREE_LINES = ((3, 5), (5, 7), (7, 2), (2, 9))
 
-# The prime modulo which each line is tested.
-SQUAREFREE_MODULUS = 2 ** 31 - 1
-
 
 def squarefree_line(form: MPoly):
     """The first (a, b) of ``SQUAREFREE_LINES`` on whose line
@@ -744,34 +743,34 @@ def squarefree_line(form: MPoly):
     squarefree binary form of degree d, or None when no listed line does.
 
     A certificate that the form is squarefree: a repeated factor E^2 of the
-    form restricts to a square on every line.  Each line is tested on the
-    primitive integer multiple of the form reduced modulo
-    ``SQUAREFREE_MODULUS``: Euclid's algorithm on B(1, t) = form(1, t, a + b*t)
-    and its derivative.  A squarefree B(1, t) of degree at least d - 1 there
-    means that the binary discriminant, an integer polynomial in the
-    coefficients, is nonzero modulo the prime, hence nonzero.  A line where
-    the reduction fails is only skipped, so the answer is exact.
+    form restricts to a square on every line.  Each line is tested exactly,
+    on the primitive integer multiple of the form: B(1, t) = form(1, t, a + b*t)
+    must have degree at least d - 1 and a constant ``_gcd`` with its
+    derivative.  A line that fails is only skipped.
     """
     if len(form.vars) != 3 or not form.is_homogeneous():
         raise TripleCoverError("squarefree_line needs a ternary form")
     if form.is_zero():
         raise DegenerateCover("squarefree line of zero")
     d = form.total_degree()
-    m = SQUAREFREE_MODULUS
-    ints = _clear_denominators(form.terms.values())
-    ints = {e: c % m for e, c in zip(form.terms, ints)}
+    ints = dict(zip(form.terms, _clear_denominators(form.terms.values())))
     for a, b in SQUAREFREE_LINES:
-        powers = [[1]]  # powers[k]: (a + b*t)^k modulo m, ascending in t
+        powers = [[1]]  # powers[k]: (a + b*t)^k, ascending in t
         for _ in range(d):
             last = powers[-1]
-            powers.append([(a * c + b * prev) % m
+            powers.append([a * c + b * prev
                            for c, prev in zip(last + [0], [0] + last)])
         restricted = [0] * (d + 1)
         for (_, j, k), c in ints.items():
             for i, p in enumerate(powers[k]):
                 restricted[i + j] += c * p
-        restricted = _trim_mod(restricted, m)
-        if len(restricted) >= max(d, 1) and _squarefree_mod(restricted, m):
+        while restricted and not restricted[-1]:
+            restricted.pop()
+        if len(restricted) < max(d, 1):
+            continue
+        deriv = [k * c for k, c in enumerate(restricted)][1:]
+        # A constant restriction has no derivative and is squarefree.
+        if not deriv or len(_gcd(restricted, deriv)) == 1:
             return a, b
     return None
 
@@ -785,34 +784,35 @@ def _clear_denominators(coeffs):
     return [c // content for c in ints]
 
 
-def _trim_mod(coeffs, m):
-    """Ascending coefficients reduced modulo m, with zero leading ones
-    dropped (the zero polynomial is the empty list)."""
-    coeffs = [c % m for c in coeffs]
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
+def _pseudo_divmod(a, b):
+    """Pseudo-division of ascending integer lists, b[-1] != 0: (q, r) with
+    b[-1]^k a = q b + r, k = max(len(a) - len(b) + 1, 0), and r trimmed."""
+    q, r, lead = [], list(a), b[-1]
+    while len(r) >= len(b):
+        c = r.pop()
+        q = [c] + [x * lead for x in q]
+        r = [x * lead for x in r]
+        for i, y in enumerate(b[:-1], len(r) - len(b) + 1):
+            r[i] -= c * y
+    while r and not r[-1]:
+        r.pop()
+    return q, r
 
 
-def _squarefree_mod(coeffs, m):
-    """Is the nonzero polynomial (trimmed ascending coefficients) coprime to
-    its derivative modulo the prime m?"""
-    a = coeffs
-    b = _trim_mod([k * c for k, c in enumerate(coeffs)][1:], m)
+def _gcd(a, b):
+    """The gcd of two ascending coefficient lists with nonzero leading
+    coefficients, as its primitive integer multiple: Euclid on primitive
+    pseudo-remainders (Knuth, TAOCP vol. 2, 4.6.1, Algorithms R and E)."""
+    a, b = _clear_denominators(a), _clear_denominators(b)
     while b:
-        inverse = pow(b[-1], -1, m)
-        while len(a) >= len(b):
-            q = a[-1] * inverse
-            shift = len(a) - len(b)
-            a = _trim_mod(a[:shift] + [x - q * y for x, y in zip(a[shift:], b)], m)
-        a, b = b, a
-    return len(a) == 1
+        a, b = b, _clear_denominators(_pseudo_divmod(a, b)[1])
+    return a
 
 
 def _certified_squarefree(p: MPoly) -> bool:
     """Is the nonconstant p a ternary form that ``squarefree_line``
-    certifies squarefree modulo ``SQUAREFREE_MODULUS``?  False means only
-    that the test does not decide; every other shape gets False."""
+    certifies squarefree?  False means only that the test does not decide;
+    every other shape gets False."""
     return len(p.vars) == 3 and p.is_homogeneous() and squarefree_line(p) is not None
 
 

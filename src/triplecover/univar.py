@@ -7,8 +7,9 @@ caller in the package; it is kept only because the benchmark reports it.
 
 Everything is exact: rational roots come from p-adic lifting and are checked
 by evaluation, with no floating point anywhere.  The squarefree part of an
-eliminant and the point on a direction both come from one Euclid on integer
-coefficient lists (``_pseudo_divmod`` and ``_gcd``), never from ``MPoly``.
+eliminant and the point on a direction both come from the one Euclid of the
+package, ``polyring._gcd`` on integer coefficient lists, which also certifies
+ternary forms squarefree on a line; never from ``MPoly``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from fractions import Fraction
 
 from .errors import CommonComponent, IndeterminateCount, TripleCoverError
 from .polyring import (PROJECTION_CENTERS, MPoly, U_VARS, _clear_denominators,
-                       dehomogenize, linear_change, projective_point, resultant)
+                       _gcd, _pseudo_divmod, dehomogenize, linear_change,
+                       projective_point, resultant)
 
 
 def to_univariate(p: MPoly, var):
@@ -54,31 +56,6 @@ def root_multiplicity(coeffs, root):
         coeffs = derivative(coeffs)
         mult += 1
     return mult
-
-
-def _pseudo_divmod(a, b):
-    """Pseudo-division of ascending integer lists, b[-1] != 0: (q, r) with
-    b[-1]^k a = q b + r, k = max(len(a) - len(b) + 1, 0), and r trimmed."""
-    q, r, lead = [], list(a), b[-1]
-    while len(r) >= len(b):
-        c = r.pop()
-        q = [c] + [x * lead for x in q]
-        r = [x * lead for x in r]
-        for i, y in enumerate(b[:-1], len(r) - len(b) + 1):
-            r[i] -= c * y
-    while r and not r[-1]:
-        r.pop()
-    return q, r
-
-
-def _gcd(a, b):
-    """The gcd of two ascending coefficient lists with nonzero leading
-    coefficients, as its primitive integer multiple: Euclid on primitive
-    pseudo-remainders (Knuth, TAOCP vol. 2, 4.6.1, Algorithms R and E)."""
-    a, b = _clear_denominators(a), _clear_denominators(b)
-    while b:
-        a, b = b, _clear_denominators(_pseudo_divmod(a, b)[1])
-    return a
 
 
 def interpolate(points, values):

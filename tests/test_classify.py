@@ -18,7 +18,7 @@ from triplecover.classify import (
 )
 from triplecover import cover, etamap, polyring, torus, univar
 from triplecover.cover import AffineCoverData, branch_decomposition, derived_invariants
-from triplecover.errors import DegenerateCover, DegenerateCubic
+from triplecover.errors import DegenerateCover, DegenerateCubic, TripleCoverError
 from triplecover.etamap import TernaryCubic, eta
 from triplecover.polyring import MPoly, U_VARS, V_VARS, X_VARS, gcd, linear_change
 from triplecover.torus import TorusPair, build_cover
@@ -379,17 +379,16 @@ def _verdict(report):
             report.notes)
 
 
-def test_classify_same_verdict_when_the_prime_certifies_nothing(monkeypatch):
-    """Modulo 3 most modular certificates fail, ``squarefree_line``'s
-    included, so every exact fallback runs; the verdicts and witnesses are
-    the same."""
+def test_classify_same_verdict_when_no_line_certifies(monkeypatch):
+    """With no line to try, ``squarefree_line`` certifies nothing, so every
+    exact fallback runs; the verdicts and witnesses are the same."""
     specs = [CoverSpec.flag(f) for f in _seed91_cubics()]
     specs += [CoverSpec.flag(FERMAT),
               CoverSpec.torus(TorusPair(x0 * x1, x2 ** 3 - x0 ** 3))]
     specs += [CoverSpec.flag(TernaryCubic.from_poly(form))
               for form, _ in SINGULAR_WITNESSES.values()]
     certified = [_verdict(classify(spec)) for spec in specs]
-    monkeypatch.setattr(polyring, "SQUAREFREE_MODULUS", 3)
+    monkeypatch.setattr(polyring, "SQUAREFREE_LINES", ())
     assert [_verdict(classify(spec)) for spec in specs] == certified
 
 
@@ -549,6 +548,17 @@ def test_a2_tacnode_not_cusp():
     assert not verdict["is_cusp"]
 
 
+def test_a2_rejects_what_is_not_a_curve():
+    # A form of any degree is accepted; a polynomial that is not a form, or
+    # the zero form, is no curve.
+    assert a2_cusp_check(x1 ** 2 * x0 - x2 ** 3, (1, 0, 0))["is_cusp"]
+    with pytest.raises(TripleCoverError) as info:
+        a2_cusp_check(x1 ** 2 - x2 ** 3, (1, 0, 0))
+    assert not isinstance(info.value, DegenerateCover)
+    with pytest.raises(DegenerateCover):
+        a2_cusp_check(MPoly.zero(X_VARS), (1, 0, 0))
+
+
 def test_a2_scaled_point_coordinates():
     verdict = a2_cusp_check(FERMAT_BRANCH, (2, 2, 0))
     assert verdict["is_cusp"]
@@ -573,8 +583,8 @@ def test_cross_validate_rechecks_squarefree_line():
 
 def test_classify_generic_torus_pair_takes_no_gradient_gcd(monkeypatch):
     """Every repeated-factor question of a generic torus classification,
-    the repeated part of G3 in condition (2) included, is certified modulo
-    a prime, so no exact gradient gcd runs."""
+    the repeated part of G3 in condition (2) included, is certified on a
+    line, so no exact gradient gcd runs."""
     exact = []
     _counting(monkeypatch, polyring, "_gradient_gcd", exact)
     pair = TorusPair(x0 * x1, x2 ** 3 - x0 ** 3)

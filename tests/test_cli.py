@@ -172,6 +172,24 @@ def test_cusp_check_negative(capsys):
     assert code == 1
 
 
+def test_cusp_check_rejects_what_is_not_a_curve(capsys):
+    code, out, err = invoke(capsys, "cusp-check", "--branch", "x1^2-x2^3",
+                            "--point", "1,0,0")
+    assert (code, out) == (4, "")
+    assert err == "error: branch form must be a form in (x0, x1, x2)\n"
+    code, out, err = invoke(capsys, "cusp-check", "--branch", "0",
+                            "--point", "1,0,0")
+    assert (code, out) == (4, "")
+    assert err == "degenerate input: cusp check of the zero form\n"
+
+
+def test_branch_multiplicity_too_high_prints_the_factor(capsys):
+    code, out, err = invoke(capsys, "branch", "--a", "0", "--b", "1",
+                            "--c", "0", "--d", "u1")
+    assert (code, out) == (4, "")
+    assert err == "degenerate input: branch factor x0*x1 has multiplicity 3\n"
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = invoke(capsys, "delta", "--cubic", "v0^")
     assert code == 3

@@ -172,19 +172,28 @@ def test_squarefree_decomposition_matches_sympy():
     seed=st.integers(0, 2 ** 32 - 1),
     shape=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 2)),
                    min_size=1, max_size=4),
+    span=st.sampled_from([3, 10 ** 40]),
 )
-def test_squarefree_line_agrees_with_sympy(seed, shape):
-    """A form of degree up to 6 that a line certifies is squarefree for
-    sympy."""
+def test_squarefree_line_agrees_with_sympy(seed, shape, span):
+    """A form of degree d up to 6, with coefficients up to 10^40, that a
+    line certifies is squarefree for sympy, and so is its restriction
+    B(1, t) to that line, of degree at least d - 1."""
     rng = random.Random(seed)
     p = MPoly.constant(V_VARS, Fraction(rng.randint(1, 9), rng.randint(1, 9)))
     for deg, mult in shape:
         if p.total_degree() + deg * mult <= 6:
-            p = p * nonzero(lambda: random_form(rng, V_VARS, deg)) ** mult
+            p = p * nonzero(lambda: random_form(rng, V_VARS, deg, span)) ** mult
     _, factors = sympy.sqf_list(to_sympy(p))
     squarefree = all(m == 1 for _, m in factors)
-    if squarefree_line(p) is not None:
+    line = squarefree_line(p)
+    if line is not None:
         assert squarefree
+        a, b = line
+        t = GENS["t"]
+        at = dict(zip((GENS[v] for v in V_VARS), (1, t, a + b * t)))
+        restricted = sympy.Poly(to_sympy(p).as_expr().subs(at, simultaneous=True), t)
+        assert restricted.degree() >= p.total_degree() - 1
+        assert restricted.is_sqf
 
 
 def univariate_roots_oracle(coeffs):

@@ -146,45 +146,28 @@ def test_rational_roots_skip_bad_primes():
     assert _simple_roots_mod_p([int(c) for c in coeffs])[0] == 7
 
 
-P = 2 ** 31 - 1  # polyring.SQUAREFREE_MODULUS
+P = 2 ** 31 - 1
 
 
-def _counting_gradient_gcd(monkeypatch):
-    """A list that grows by one for each exact gradient gcd, the path the
-    repeated-factor primitives take when the modular test does not decide."""
-    seen = []
-    inner = polyring._gradient_gcd
-
-    def counting(p):
-        seen.append(p)
-        return inner(p)
-
-    monkeypatch.setattr(polyring, "_gradient_gcd", counting)
-    return seen
-
-
-@pytest.mark.parametrize("roots, scale, squarefree_mod_p", [
-    # Squarefree over Q with a double root mod p: p^2 divides the
+@pytest.mark.parametrize("roots, scale", [
+    # Squarefree over Q with a double root mod P: P^2 divides the
     # discriminant.
-    ([1, 1 + P], 1, False),
-    # (p t - 1)(t - 2): p divides the leading coefficient.
-    ([Fraction(1, P), 2], P, False),
+    ([1, 1 + P], 1),
+    # (P t - 1)(t - 2): P divides the leading coefficient.
+    ([Fraction(1, P), 2], P),
     # A planted triple root next to a simple one.
-    ([3, 3, 3, -5], 1, False),
+    ([3, 3, 3, -5], 1),
     # Coefficients above 10^40, squarefree.
-    ([10 ** 41 + 7, -(10 ** 40) - 3, Fraction(10 ** 42 + 1, 3 ** 30)], 1, True),
+    ([10 ** 41 + 7, -(10 ** 40) - 3, Fraction(10 ** 42 + 1, 3 ** 30)], 1),
     # Coefficients above 10^40, with a double root.
-    ([10 ** 41 + 7, 10 ** 41 + 7, -(10 ** 40) - 3], 1, False),
+    ([10 ** 41 + 7, 10 ** 41 + 7, -(10 ** 40) - 3], 1),
 ])
-def test_rational_roots_modular_certificate(monkeypatch, roots, scale, squarefree_mod_p):
-    """Each planted root comes back once, whether or not the polynomial
-    stays squarefree of full degree modulo p, and ``rational_roots`` takes
-    its squarefree part on coefficient lists: no ``MPoly`` gcd runs."""
+def test_rational_roots_modular_certificate(monkeypatch, roots, scale):
+    """Each planted root comes back once, even where a prime reduction
+    would collapse two roots, and ``rational_roots`` takes its squarefree
+    part on coefficient lists: no ``MPoly`` gcd runs.  Nor does the
+    repeated part of a constant take a gradient gcd."""
     coeffs = planted(roots, scale=scale)
-    ints = polyring._clear_denominators(coeffs)
-    reduced = polyring._trim_mod(ints, P)
-    assert (len(reduced) == len(ints)
-            and polyring._squarefree_mod(reduced, P)) == squarefree_mod_p
     assert not {"gcd", "squarefree_part", "repeated_part"} & set(vars(univar))
     seen = []
     for name in ("gcd", "squarefree_part", "_gradient_gcd"):
@@ -192,14 +175,6 @@ def test_rational_roots_modular_certificate(monkeypatch, roots, scale, squarefre
         monkeypatch.setattr(polyring, name,
                             lambda *args, inner=inner: seen.append(args) or inner(*args))
     assert rational_roots(coeffs) == sorted(set(Fraction(r) for r in roots))
-    assert seen == []
-
-
-def test_squarefree_mod_p_reads_the_modulus_at_call_time(monkeypatch):
-    # A constant takes neither test, whatever the modulus; ternary forms
-    # read it at call time (see test_classify).
-    seen = _counting_gradient_gcd(monkeypatch)
-    monkeypatch.setattr(polyring, "SQUAREFREE_MODULUS", 3)
     assert polyring.repeated_part(MPoly.constant(T_VARS, 5)) == 1
     assert seen == []
 
