@@ -8,6 +8,7 @@ backing the verdict.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -21,15 +22,12 @@ from .errors import (
     TripleCoverError,
 )
 from .polyring import (
-    CHART_PERMS,
     PROJECTION_CENTERS,
     MPoly,
     T_VARS,
-    U_VARS,
     V_VARS,
     X_VARS,
-    dehomogenize,
-    divides,
+    _on_line,
     gcd,
     homogenize,
     projective_point,
@@ -81,69 +79,45 @@ class ClassificationReport:
 # A2 cusp jet criterion
 
 
-def _to_chart(point):
-    """The swap ``CHART_PERMS[k]`` for the first nonzero coordinate xk of a
-    projective point, the point scaled to xk = 1, and the chart coordinates
-    (u1, u2) of the swapped point in the chart x0 != 0."""
-    scaled = projective_point(point)
-    perm = CHART_PERMS[scaled.index(1)]
-    return perm, scaled, tuple(scaled[perm[j]] for j in (1, 2))
+def _integer_frame(point):
+    """A projective point, scaled to xk = 1 and to integers, the index k
+    of its first nonzero coordinate, and the indices of the other two."""
+    point = projective_point(point)
+    scale = math.lcm(*(c.denominator for c in point))
+    k = point.index(1)
+    return point, tuple(int(c * scale) for c in point), k, [n for n in range(3) if n != k]
 
 
 def a2_cusp_check(branch_form: MPoly, point) -> dict:
-    """Jet test for an ordinary cusp of a plane curve at a rational point.
-
-    The quadratic jet at the point must be a nonzero perfect square l^2 and
-    l must not divide the cubic jet.  The branch form is a nonzero ternary
-    form of any degree.
-    """
+    """Jet test for an ordinary cusp of a ternary form of any degree at a
+    rational point p.  On the line p + t*v, the coefficient c_n(v) of t^n is
+    the degree-n jet at p evaluated at v (``polyring._on_line``).  With e_i,
+    e_j the unit vectors off the first nonzero coordinate of p, p is on the
+    curve when c_0 = 0 and singular when also c_1(e_i) = c_1(e_j) = 0.  Then
+    p spans the kernel of every jet (Euler), so c_n on s*e_i + u*e_j is the
+    whole germ, in no chart: an ordinary cusp when c_2 is a nonzero square
+    and c_3 is nonzero at its root."""
     if branch_form.vars != X_VARS or not branch_form.is_homogeneous():
         raise TripleCoverError("branch form must be a form in (x0, x1, x2)")
     if branch_form.is_zero():
         raise DegenerateCover("cusp check of the zero form")
-    perm, point, p = _to_chart(point)
-    chart = dehomogenize(branch_form.permute_vars(perm), U_VARS)
-    translated = chart.substitute(
-        {
-            "u1": MPoly.variable(U_VARS, "u1") + p[0],
-            "u2": MPoly.variable(U_VARS, "u2") + p[1],
-        },
-        U_VARS,
-    )
-    jets = {}
-    for exps, c in translated.terms.items():
-        jets.setdefault(sum(exps), {})[exps] = c
-    f0 = MPoly(U_VARS, jets.get(0, {}))
-    f1 = MPoly(U_VARS, jets.get(1, {}))
-    f2 = MPoly(U_VARS, jets.get(2, {}))
-    f3 = MPoly(U_VARS, jets.get(3, {}))
-    result = {
-        "point": point,
-        "on_curve": f0.is_zero(),
-        "singular": f0.is_zero() and f1.is_zero(),
-        "is_cusp": False,
-        "quadratic_jet": f2,
-        "cubic_jet": f3,
-    }
-    if not (result["on_curve"] and result["singular"]) or f2.is_zero():
-        return result
-    alpha = f2.terms.get((2, 0), Fraction(0))
-    beta = f2.terms.get((1, 1), Fraction(0))
-    gamma = f2.terms.get((0, 2), Fraction(0))
-    if beta * beta - 4 * alpha * gamma != 0:
-        return result  # rank-2 jet: node, not a cusp
-    u1 = MPoly.variable(U_VARS, "u1")
-    u2 = MPoly.variable(U_VARS, "u2")
-    if alpha:
-        line = 2 * alpha * u1 + beta * u2
-    elif gamma:
-        line = beta * u1 + 2 * gamma * u2
-    else:
-        return result  # beta = 0 too, so f2 = 0: handled above
-    result["square_root"] = line
-    divides_cubic, _ = divides(line, f3)
-    result["is_cusp"] = not divides_cubic
-    return result
+    point, p, _, others = _integer_frame(point)
+    e_i, e_j = ([int(m == n) for m in range(3)] for n in others)
+
+    def jets(v):
+        # Padded so that the jets above the degree of the form read 0.
+        return _on_line(branch_form, p, v) + [0, 0, 0]
+
+    along_i, along_j = jets(e_i), jets(e_j)
+    singular = not (along_i[0] or along_i[1] or along_j[1])
+    alpha, gamma = along_i[2], along_j[2]
+    beta = jets([a + b for a, b in zip(e_i, e_j)])[2] - alpha - gamma
+    # The root (s : u) of alpha*s^2 + beta*s*u + gamma*u^2 when it is a square.
+    s, u = (beta, -2 * alpha) if alpha else (2 * gamma, -beta)
+    tangent = [s * a + u * b for a, b in zip(e_i, e_j)]
+    return {"point": point, "on_curve": not along_i[0], "singular": singular,
+            "is_cusp": bool(singular and (alpha or gamma)
+                            and beta * beta == 4 * alpha * gamma and jets(tangent)[3])}
 
 
 # ---------------------------------------------------------------------------
@@ -310,13 +284,12 @@ def _classify_flag(f: etamap.TernaryCubic) -> ClassificationReport:
 
 
 def _perfect_cube_fiber(f: etamap.TernaryCubic, point) -> bool:
-    """Is the fiber cubic at a projective point a perfect cube?
-
-    Rotates to a chart where the point is finite before restricting.
-    """
-    perm, _, chart_pt = _to_chart(point)
-    fc = f if perm == CHART_PERMS[0] else f.permuted(perm)
-    return etamap.is_perfect_cube(etamap.fiber_binary_cubic(fc, chart_pt))
+    """Is the fiber cubic at a projective point x, f on the dual line
+    v . x = 0, a perfect cube?  The line is spanned by x_k e_n - x_n e_k for
+    the first nonzero coordinate x_k and the two other indices n."""
+    _, x, k, others = _integer_frame(point)
+    span = [[x[k] * (m == n) - x[n] * (m == k) for m in range(3)] for n in others]
+    return etamap.is_perfect_cube(etamap.BinaryCubic(*_on_line(f.as_poly(), *span)))
 
 
 def _classify_torus(pair: torus.TorusPair) -> ClassificationReport:

@@ -492,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("cusp-check", help="A2 jet test at a projective point")
-    p.add_argument("--branch", required=True, help="degree-6 form in x0,x1,x2")
+    p.add_argument("--branch", required=True, help="ternary form in x0,x1,x2, any degree")
     p.add_argument("--point", required=True, help="projective point 'x0,x1,x2'")
     common(p)
 

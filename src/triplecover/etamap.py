@@ -80,18 +80,12 @@ class TernaryCubic:
 
 @dataclass(frozen=True)
 class BinaryCubic:
-    """p*v1^3 + q*v1^2*v2 + r*v1*v2^2 + s*v2^3 with MPoly entries in (u1, u2)."""
+    """p*v1^3 + q*v1^2*v2 + r*v1*v2^2 + s*v2^3, entries MPoly in (u1, u2) or numbers."""
 
     p: MPoly
     q: MPoly
     r: MPoly
     s: MPoly
-
-    def is_zero(self) -> bool:
-        return (
-            self.p.is_zero() and self.q.is_zero()
-            and self.r.is_zero() and self.s.is_zero()
-        )
 
     def entries(self):
         return (self.p, self.q, self.r, self.s)
@@ -198,10 +192,8 @@ def hessian_covariant(bc: BinaryCubic):
 
 
 def is_perfect_cube(bc: BinaryCubic) -> bool:
-    """Is the binary cubic the cube of a linear form?"""
-    if bc.is_zero():
-        return False
-    return all(h.is_zero() for h in hessian_covariant(bc))
+    """Is the binary cubic (MPoly or numeric entries) the cube of a linear form?"""
+    return any(bc.entries()) and not any(hessian_covariant(bc))
 
 
 # ---------------------------------------------------------------------------

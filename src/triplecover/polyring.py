@@ -9,13 +9,15 @@ The repeated-factor primitives ``repeated_part``, ``squarefree_part`` and
 ``squarefree_decomposition`` first try to certify a ternary form squarefree
 on one line of ``SQUAREFREE_LINES``, exactly over the integers, and take the
 exact gradient gcd only when that test does not decide.  Both paths give the
-same values, so callers need not know which one ran.  The line test runs on
-coefficient lists with ``_gcd``, the one univariate Euclid of the package,
-which ``univar`` also uses for rational roots and direction lifts.
+same values, so callers need not know which one ran.  Every certificate
+read along a line restricts a form with ``_on_line`` to integer coefficient
+lists: this line test, the direction lifts in ``univar`` and both cusp
+checks in ``classify``.  ``_gcd`` is the one univariate Euclid.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -601,10 +603,10 @@ def _gcd_inner(p: MPoly, q: MPoly) -> MPoly:
         return q
     if q.is_zero():
         return p
-    present = sorted(p.variables_present() | q.variables_present())
-    if not present:
-        return MPoly.constant(p.vars, _frac_gcd(p.constant_value(), q.constant_value()))
-    var = present[0]
+    if p.is_constant() or q.is_constant():
+        coeffs = [*p.terms.values(), *q.terms.values()]
+        return MPoly.constant(p.vars, functools.reduce(_frac_gcd, coeffs))
+    var = min(p.variables_present() | q.variables_present())
     if p.degree_in(var) == 0:
         return _gcd_inner(p, _content_and_primitive(q, var)[0])
     if q.degree_in(var) == 0:
@@ -752,18 +754,9 @@ def squarefree_line(form: MPoly):
         raise TripleCoverError("squarefree_line needs a ternary form")
     if form.is_zero():
         raise DegenerateCover("squarefree line of zero")
-    d = form.total_degree()
-    ints = dict(zip(form.terms, _clear_denominators(form.terms.values())))
     for a, b in SQUAREFREE_LINES:
-        powers = [[1]]  # powers[k]: (a + b*t)^k, ascending in t
-        for _ in range(d):
-            last = powers[-1]
-            powers.append([a * c + b * prev
-                           for c, prev in zip(last + [0], [0] + last)])
-        restricted = [0] * (d + 1)
-        for (_, j, k), c in ints.items():
-            for i, p in enumerate(powers[k]):
-                restricted[i + j] += c * p
+        restricted = _on_line(form, (1, 0, a), (0, 1, b))
+        d = len(restricted) - 1
         while restricted and not restricted[-1]:
             restricted.pop()
         if len(restricted) < max(d, 1):
@@ -775,11 +768,53 @@ def squarefree_line(form: MPoly):
     return None
 
 
+def _on_line(form: MPoly, P, Q):
+    """The primitive integer multiple of a nonzero ternary form of degree
+    d on the line P + t*Q, as its d + 1 ascending coefficients in t.  The
+    n-th is the degree-n jet at P evaluated at Q, so lines through one point
+    share one scale; integer P and Q give integers.  A coordinate that the
+    line fixes (Q[m] = 0) enters as a scalar, one that it moves as a
+    multiple of t (P[m] = 0) as a shift, and only the rest as polynomials.
+    """
+    d = sum(next(iter(form.terms)))
+    coeffs = _clear_denominators(form.terms.values())
+    shifts = [0] * len(coeffs)
+    rows = None  # per term, its product over the coordinates left as polynomials
+    for p, q, exps in zip(P, Q, zip(*form.terms)):
+        if p and q:
+            powers = [[1]]  # powers[k]: (p + q*t)^k, ascending in t
+            for _ in range(d):
+                last = powers[-1]
+                powers.append([p * c + q * prev for c, prev in zip(last + [0], [0] + last)])
+            rows = [powers[e] for e in exps] if rows is None else \
+                [_times(row, powers[e]) for row, e in zip(rows, exps)]
+            continue
+        if q:
+            shifts = [s + e for s, e in zip(shifts, exps)]
+        if (q or p) != 1:
+            coeffs = [c * (q or p) ** e for c, e in zip(coeffs, exps)]
+    restricted = [0] * (d + 1)
+    for c, s, row in zip(coeffs, shifts, rows or [[1]] * len(coeffs)):
+        for i, x in enumerate(row, s):
+            restricted[i] += c * x
+    return restricted
+
+
+def _times(a, b):
+    """The product of two ascending coefficient lists."""
+    product = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b, i):
+            product[j] += x * y
+    return product
+
+
 def _clear_denominators(coeffs):
     """The primitive integer multiple of nonzero rational coefficients."""
     coeffs = list(coeffs)
     scale = math.lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+    ints = [c.numerator * (scale // c.denominator) for c in coeffs] \
+        if scale != 1 else [c.numerator for c in coeffs]
     content = math.gcd(*ints)
     return [c // content for c in ints]
 

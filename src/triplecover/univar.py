@@ -8,8 +8,8 @@ caller in the package; it is kept only because the benchmark reports it.
 Everything is exact: rational roots come from p-adic lifting and are checked
 by evaluation, with no floating point anywhere.  The squarefree part of an
 eliminant and the point on a direction both come from the one Euclid of the
-package, ``polyring._gcd`` on integer coefficient lists, which also certifies
-ternary forms squarefree on a line; never from ``MPoly``.
+package, ``polyring._gcd``, on integer coefficient lists; a direction reads
+g and h through ``polyring._on_line``, never through ``MPoly``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import CommonComponent, IndeterminateCount, TripleCoverError
 from .polyring import (PROJECTION_CENTERS, MPoly, U_VARS, _clear_denominators,
-                       _gcd, _pseudo_divmod, dehomogenize, linear_change,
+                       _gcd, _on_line, _pseudo_divmod, dehomogenize, linear_change,
                        projective_point, resultant)
 
 
@@ -195,11 +195,7 @@ def _lift_direction(g: MPoly, h: MPoly, w0, w1):
     g = h = 0 on the line through (0 : 0 : 1) and (w0 : w1 : 0), or None
     when the gcd G of g and h on that line, of degree d, is not a multiple
     of (x2 - r)^d with r = -G[d - 1] / (d G[d])."""
-    lines = [[Fraction(0)] * (form.total_degree() + 1) for form in (g, h)]
-    for line, form in zip(lines, (g, h)):
-        for (i, j, k), c in form.terms.items():
-            line[k] += c * w0 ** i * w1 ** j
-    common = _gcd(*lines)
+    common = _gcd(*(_on_line(form, (w0, w1, 0), (0, 0, 1)) for form in (g, h)))
     d = len(common) - 1
     r = Fraction(-common[d - 1], d * common[d]) if d else None
     return r if d and root_multiplicity(common, r) == d else None
@@ -210,18 +206,18 @@ def projected_points(projection):
     eliminant, each as (point, multiplicity of its direction), or None when
     a rational direction holds more than one common point.
 
-    The rational directions are (1 : t) for the rational roots t of the
+    The rational directions are (q : n) for the rational roots n/q of the
     eliminant, and (0 : 1) when its degree falls short.  Each is lifted to
     its one common point, which is then rational, by the univariate gcd of
     g and h restricted to it (``_lift_direction``), and M maps it back.
     """
     m, g, h, elim = projection
     coeffs = to_univariate(elim, "u1")
-    directions = [((Fraction(1), t), root_multiplicity(coeffs, t))
+    directions = [((t.denominator, t.numerator), root_multiplicity(coeffs, t))
                   for t in rational_roots(coeffs)]
     deficit = g.total_degree() * h.total_degree() - elim.total_degree()
     if deficit:
-        directions.append(((Fraction(0), Fraction(1)), deficit))
+        directions.append(((0, 1), deficit))
     points = []
     for (w0, w1), mult in directions:
         w2 = _lift_direction(g, h, w0, w1)

@@ -1,6 +1,7 @@
 """Tests for the cover classifier and the jet-based cusp criterion."""
 
 import importlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -22,6 +23,8 @@ from triplecover.errors import DegenerateCover, DegenerateCubic, TripleCoverErro
 from triplecover.etamap import TernaryCubic, eta
 from triplecover.polyring import MPoly, U_VARS, V_VARS, X_VARS, gcd, linear_change
 from triplecover.torus import TorusPair, build_cover
+
+classify_mod = importlib.import_module("triplecover.classify")
 
 FERMAT = TernaryCubic((1, 0, 0, 0, 0, 0, 1, 0, 0, 1))
 
@@ -512,14 +515,6 @@ def test_a2_cusp_at_chart_point():
     assert verdict["is_cusp"]
 
 
-def test_a2_cusp_jets_at_fermat_point():
-    # At (u1, u2) = (1, 0): quadratic jet 9 s^2, cubic jet 18 s^3 - 4 t^3
-    # in the translated chart coordinates (s, t).
-    verdict = a2_cusp_check(FERMAT_BRANCH, (1, 1, 0))
-    assert verdict["quadratic_jet"] == 9 * u1 ** 2
-    assert verdict["cubic_jet"] == 18 * u1 ** 3 - 4 * u2 ** 3
-
-
 def test_a2_cusp_rotated_points():
     for point in ((1, 0, 1), (0, 1, 1)):
         verdict = a2_cusp_check(FERMAT_BRANCH, point)
@@ -564,6 +559,133 @@ def test_a2_scaled_point_coordinates():
     assert verdict["is_cusp"]
 
 
+def _random_point(rng):
+    """A nonzero integer point, often with zero coordinates."""
+    while True:
+        point = tuple(rng.choice((0, 0, 1, -1, 2, -3, 5)) for _ in range(3))
+        if any(point):
+            return point
+
+
+def _frame_at(rng, point):
+    """An integer matrix A with A * point a nonzero multiple of (1, 0, 0):
+    the adjugate of an invertible matrix whose first column is the point."""
+    while True:
+        n = [[point[i], rng.randint(-3, 3), rng.randint(-3, 3)] for i in range(3)]
+        cof = [[n[(j + 1) % 3][(i + 1) % 3] * n[(j + 2) % 3][(i + 2) % 3]
+                - n[(j + 1) % 3][(i + 2) % 3] * n[(j + 2) % 3][(i + 1) % 3]
+                for j in range(3)] for i in range(3)]
+        if sum(n[0][j] * cof[j][0] for j in range(3)):
+            return cof
+
+
+# Germs at (1 : 0 : 0) in the local coordinates (x1, x2); only the cusp is
+# an ordinary cusp.
+A2_GERMS = {
+    "node": x1 ** 2 - x2 ** 2,
+    "cusp": x1 ** 2 * x0 - x2 ** 3,
+    "A3": x1 ** 2 * x0 ** 2 - x2 ** 4,
+    "A4": x1 ** 2 * x0 ** 3 - x2 ** 5,
+    "D4": x1 ** 3 - x2 ** 3,
+    "E6": x1 ** 3 * x0 - x2 ** 4,
+    "tacnode": x1 ** 2 * x0 - x1 * x2 ** 2,
+}
+
+
+def _on_curve_and_singular(form, point):
+    at = dict(zip(X_VARS, point))
+    on_curve = not form.evaluate(at)
+    return on_curve, on_curve and not any(
+        form.partial_derivative(v).evaluate(at) for v in X_VARS)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a2_cusp_check_moved_germs(seed):
+    """Each germ, homogenized to degree 6 at (1 : 0 : 0), perturbed by terms
+    of local order at least 4 and moved by an integer matrix, is singular at
+    its moved point and an ordinary cusp exactly when it is the cusp.  At
+    other points, ``on_curve`` and ``singular`` are the values of the form
+    and its gradient."""
+    rng = random.Random(seed)
+    for name, germ in A2_GERMS.items():
+        # x0^a x1^b x2^c with a <= 2 has local order b + c >= 4.
+        form = germ * x0 ** (6 - germ.total_degree()) + MPoly(X_VARS, {
+            (a, b, 6 - a - b): rng.randint(-4, 4) for a in range(3) for b in range(7 - a)})
+        point = _random_point(rng)
+        moved = linear_change(form, _frame_at(rng, point)) * Fraction(
+            rng.randint(1, 9), rng.randint(1, 9))
+        verdict = a2_cusp_check(moved, point)
+        assert set(verdict) == {"point", "on_curve", "singular", "is_cusp"}
+        assert verdict["point"] == polyring.projective_point(point)
+        assert verdict["on_curve"] and verdict["singular"], name
+        assert verdict["is_cusp"] == (name == "cusp"), name
+        for _ in range(3):
+            other = _random_point(rng)
+            k = next(i for i, c in enumerate(other) if c)
+            xs = (x0, x1, x2)
+            # Through the point, generically smooth there.
+            through = moved - moved.evaluate(dict(zip(X_VARS, other))) \
+                / other[k] ** 6 * xs[k] ** 6
+            # Smooth there with the tangent line through a unit vector e_n:
+            # the line det(point, e_n, x) = 0 times a quintic.
+            quintic = MPoly(X_VARS, {(a, b, 5 - a - b): rng.randint(-3, 3)
+                                     for a in range(6) for b in range(6 - a)})
+            tangents = []
+            for n in (m for m in range(3) if m != k):
+                e = [int(m == n) for m in range(3)]
+                tangents.append(quintic * sum(
+                    ((other[(m + 1) % 3] * e[(m + 2) % 3]
+                      - other[(m + 2) % 3] * e[(m + 1) % 3]) * xs[m]
+                     for m in range(3)), MPoly.zero(X_VARS)))
+            for f in (moved, through, *tangents):
+                if f.is_zero():
+                    continue
+                verdict = a2_cusp_check(f, other)
+                expected = _on_curve_and_singular(f, other)
+                assert (verdict["on_curve"], verdict["singular"]) == expected
+                assert verdict["singular"] or not verdict["is_cusp"]
+
+
+def test_perfect_cube_fiber_planted_cubes():
+    """L^3 + (x . v) M^2 restricts to L^3 on the dual line of x, a cube
+    unless L vanishes there too."""
+    rng = random.Random(5)
+    v = (v0, v1, v2)
+    for _ in range(60):
+        x = _random_point(rng)
+        dual = sum((c * w for c, w in zip(x, v)), MPoly.zero(V_VARS))
+        L, M = (sum((rng.randint(-3, 3) * w for w in v), MPoly.zero(V_VARS))
+                for _ in range(2))
+        f = L ** 3 + dual * M ** 2
+        if f.is_zero():
+            continue
+        cube = classify_mod._perfect_cube_fiber(TernaryCubic.from_poly(f), x)
+        # L vanishes on the dual line exactly when it is a multiple of x . v.
+        coeffs = [L.terms.get(e, 0) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+        assert cube == any(a * y != b * c for (a, b), (c, y) in
+                           itertools.combinations(zip(coeffs, x), 2))
+
+
+def test_perfect_cube_fiber_matches_the_chart_fiber():
+    """At affine points (1 : a : b), random cubics and cubics with a planted
+    cube give the verdict of ``is_perfect_cube(fiber_binary_cubic(...))``."""
+    rng = random.Random(6)
+    seen = set()
+    for index in range(80):
+        a, b = (Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2))
+        f = TernaryCubic(tuple(rng.randint(-3, 3) for _ in range(10)))
+        if index % 2:
+            # Planted: the fiber at (1 : a : b) is (v1 + 2 v2)^3.
+            f = TernaryCubic.from_poly((v1 + 2 * v2) ** 3 + (v0 + a * v1 + b * v2)
+                                       * f.as_poly().partial_derivative("v0"))
+        if f.is_zero():
+            continue
+        expected = etamap.is_perfect_cube(etamap.fiber_binary_cubic(f, (a, b)))
+        assert classify_mod._perfect_cube_fiber(f, (1, a, b)) == expected
+        seen.add(expected)
+    assert seen == {True, False}
+
+
 def test_cross_validate_flags_bad_decomposition():
     report = classify(CoverSpec.flag(FERMAT))
     report.total_branch["count"] = 8
@@ -598,7 +720,7 @@ def test_classify_torus_gcd_of_the_pair_work_count(monkeypatch):
     in ``condition3`` and for the split S + 2T."""
     pair = TorusPair(x0 * x1, x2 ** 3 - x0 ** 3)
     calls = []
-    for module in (torus, importlib.import_module("triplecover.classify")):
+    for module in (torus, classify_mod):
         _counting(monkeypatch, module, "gcd", calls)
     torus.total_branch_points(pair)
     assert calls == []

@@ -153,6 +153,17 @@ def test_zero_cubic_is_not_perfect_cube():
     assert not is_perfect_cube(BinaryCubic(z, z, z, z))
 
 
+def test_perfect_cube_of_numbers():
+    # The entries may be numbers: (s - 2t)^3, (s/2 - t)^3 and -2/3 t^3 are
+    # cubes, s^3 + t^3 and a perturbed (s/2 - t)^3 are not.
+    assert is_perfect_cube(BinaryCubic(1, -6, 12, -8))
+    assert is_perfect_cube(BinaryCubic(Fraction(1, 8), Fraction(-3, 4), Fraction(3, 2), -1))
+    assert is_perfect_cube(BinaryCubic(0, 0, 0, Fraction(-2, 3)))
+    assert not is_perfect_cube(BinaryCubic(1, 0, 0, 1))
+    assert not is_perfect_cube(BinaryCubic(Fraction(1, 8), Fraction(-3, 4), 1, -1))
+    assert not is_perfect_cube(BinaryCubic(0, 0, 0, 0))
+
+
 def test_smoothness_fermat():
     assert is_smooth_cubic(FERMAT)
 

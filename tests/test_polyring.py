@@ -13,6 +13,7 @@ from triplecover.errors import DegenerateCover, TripleCoverError, VariableMismat
 from triplecover.polyring import (
     SQUAREFREE_LINES,
     MPoly,
+    T_VARS,
     U_VARS,
     X_VARS,
     _pseudo_remainder,
@@ -148,6 +149,26 @@ def test_gcd_with_zero():
     assert gcd(MPoly.zero(U_VARS), p) == u1 + 1
 
 
+def test_gcd_with_a_constant_takes_no_subresultant(monkeypatch):
+    """A nonzero constant has gcd 1 with anything nonzero, read off the
+    coefficients: no subresultant sequence and no exact division."""
+    calls = []
+    for name in ("_subresultants", "exact_divide"):
+        real = getattr(polyring, name)
+        monkeypatch.setattr(polyring, name,
+                            lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a))
+    rng = random.Random(17)
+    for _ in range(40):
+        p = random_poly(rng, max_deg=3, max_terms=6)
+        if p.is_zero():
+            continue
+        c = MPoly.constant(U_VARS, Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+        assert gcd(p, c) == gcd(c, p) == one
+    assert polyring._gcd_inner(2 * u1 + 4, MPoly.constant(U_VARS, 6)) == \
+        MPoly.constant(U_VARS, 2)
+    assert calls == []
+
+
 def test_pseudo_remainder_is_exact():
     # The second step cancels two degrees of u2; u1^3 * u2^4 = u1 mod q.
     q = u1 * u2 ** 2 + 1
@@ -272,6 +293,36 @@ def test_squarefree_line_skips_lines_that_fail():
         squarefree_line(u1 * u2)
 
 
+def test_on_line_is_the_substituted_form():
+    """``_on_line`` is form(P + t*Q) for the primitive integer multiple of
+    the form: proportional to the substituted form, with one scale for
+    every line, and integer on integer lines."""
+    rng = random.Random(23)
+    t = MPoly.variable(T_VARS, "t")
+    for _ in range(60):
+        form = random_form(rng, rng.randint(0, 6))
+        scales = set()
+        for _ in range(3):
+            P, Q = ([Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+                     for _ in range(3)] for _ in range(2))
+            restricted = polyring._on_line(form, P, Q)
+            expected = form.substitute(
+                {v: p + q * t for v, p, q in zip(X_VARS, P, Q)}, T_VARS)
+            values = [expected.terms.get((n,), 0) for n in range(len(restricted))]
+            assert len(restricted) == form.total_degree() + 1
+            assert expected.total_degree() < len(restricted)
+            if not any(values):
+                assert not any(restricted)
+                continue
+            n = next(i for i, c in enumerate(values) if c)
+            scale = restricted[n] / values[n]
+            assert restricted == [scale * c for c in values]
+            scales.add(scale)
+        assert len(scales) <= 1
+        integer = polyring._on_line(form, (1, -2, 0), (3, 0, 1))
+        assert all(isinstance(c, int) for c in integer)
+
+
 def test_polynomials_share_exponent_tuples():
     a, b = u1 * u2, u2 * u1
     c = MPoly(U_VARS, {(1, 1): 3})
@@ -316,6 +367,23 @@ def test_only_the_kernel_certifies_squarefree():
         }
         allowed = {"_certify_line"} if path.name == "classify.py" else set()
         assert callers <= allowed, (path.name, callers)
+
+
+def test_only_the_kernel_restricts_to_a_line():
+    """Every certificate read along a line goes through
+    ``polyring._on_line``: no other module defines it, and ``classify``
+    moves no point into a chart."""
+    for path in Path(polyring.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        defined = {node.name for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef)}
+        if path.name != "polyring.py":
+            assert "_on_line" not in defined, path.name
+        if path.name == "classify.py":
+            imported = {alias.name for node in ast.walk(tree)
+                        if isinstance(node, ast.ImportFrom) for alias in node.names}
+            assert not imported & {"CHART_PERMS", "dehomogenize"}
+            assert "_to_chart" not in defined
 
 
 def test_no_unreferenced_private_functions():
