@@ -141,12 +141,6 @@ def _match_torus(cov: AffineCoverData) -> torus.TorusPair | None:
 def _match_flag(cov: AffineCoverData) -> etamap.TernaryCubic | None:
     """Invert the eta formulas linearly and verify the match exactly."""
     b, c = cov.b, cov.c
-    allowed_b = {(3, 0), (2, 0), (1, 0), (0, 0)}
-    allowed_c = {(0, 3), (0, 2), (0, 1), (0, 0)}
-    if any(e not in allowed_b for e in b.terms):
-        return None
-    if any(e not in allowed_c for e in c.terms):
-        return None
     t1 = b.terms.get((3, 0), Fraction(0))
     t2 = -b.terms.get((2, 0), Fraction(0)) / 3
     t4 = b.terms.get((1, 0), Fraction(0)) / 3
@@ -154,8 +148,6 @@ def _match_flag(cov: AffineCoverData) -> etamap.TernaryCubic | None:
     t3 = c.terms.get((0, 2), Fraction(0)) / 3
     t6 = -c.terms.get((0, 1), Fraction(0)) / 3
     t10 = c.terms.get((0, 0), Fraction(0))
-    if c.terms.get((0, 3), Fraction(0)) != -t1:
-        return None
     t5 = -cov.a.terms.get((1, 0), Fraction(0))
     t8 = cov.a.terms.get((0, 0), Fraction(0))
     t9 = -cov.d.terms.get((0, 0), Fraction(0))
@@ -382,12 +374,6 @@ def _classify_raw(cov: AffineCoverData) -> ClassificationReport:
         report.decomposition = cover_mod.branch_decomposition(D)
     except TripleCoverError as exc:
         report.notes.append("branch decomposition failed: %s" % exc)
-    probes = []
-    for point in ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)),
-                  (Fraction(0), Fraction(1)), (Fraction(1), Fraction(1))):
-        verdict = cover_mod.is_total_branch_point(cov, point)
-        probes.append({"point": point, "status": verdict.status})
-    report.certificates["point_probes"] = probes
     return report
 
 

@@ -73,14 +73,12 @@ class TernaryCubic:
         t = [Fraction(p.terms.get(exps, 0)) / scale for exps, scale in _MONOMIALS]
         return cls(tuple(t))
 
-    def permuted(self, perm) -> "TernaryCubic":
-        """Permute the dual coordinates (chart rotation on the base)."""
-        return TernaryCubic.from_poly(self.as_poly().permute_vars(perm))
-
 
 @dataclass(frozen=True)
 class BinaryCubic:
-    """p*v1^3 + q*v1^2*v2 + r*v1*v2^2 + s*v2^3, entries MPoly in (u1, u2) or numbers."""
+    """p*v1^3 + q*v1^2*v2 + r*v1*v2^2 + s*v2^3.  The entries are MPoly in
+    (u1, u2) from ``fiber_binary_cubic``, or the integers of
+    ``classify._perfect_cube_fiber`` on one dual line."""
 
     p: MPoly
     q: MPoly
@@ -122,18 +120,11 @@ def eta(f: TernaryCubic) -> AffineCoverData:
     return AffineCoverData(a, b, c, d)
 
 
-def fiber_binary_cubic(f: TernaryCubic, point=None) -> BinaryCubic:
-    """Restriction of f to the lines through a chart point.
-
-    Symbolic when ``point`` is None (entries in (u1, u2)), otherwise the
-    rational chart point is put into v0 = -u1*v1 - u2*v2 before expanding,
-    so the entries are constants.
-    """
-    v1, v2 = MPoly.variable(UV_VARS, "v1"), MPoly.variable(UV_VARS, "v2")
-    if point is None:
-        u1, u2 = MPoly.variable(UV_VARS, "u1"), MPoly.variable(UV_VARS, "u2")
-    else:
-        u1, u2 = (Fraction(c) for c in point)
+def fiber_binary_cubic(f: TernaryCubic) -> BinaryCubic:
+    """Restriction of f to the dual line of the chart point (1 : u1 : u2),
+    v0 = -u1*v1 - u2*v2, with entries in (u1, u2).  The fiber at one
+    rational point is ``classify._perfect_cube_fiber``'s, in no chart."""
+    u1, u2, v1, v2 = (MPoly.variable(UV_VARS, v) for v in UV_VARS)
     restricted = f.as_poly().substitute(
         {"v0": -u1 * v1 - u2 * v2, "v1": v1, "v2": v2}, UV_VARS)
     # Homogeneous of degree 3 in (v1, v2), so the power of v1 fixes that of v2.

@@ -373,22 +373,6 @@ class MPoly:
             total += value
         return total
 
-    def permute_vars(self, perm) -> "MPoly":
-        """Apply a permutation of the variable positions to every monomial.
-
-        ``perm[i]`` is the position that old position ``i`` moves to.
-        """
-        n = len(self.vars)
-        if sorted(perm) != list(range(n)):
-            raise ValueError("not a permutation: %r" % (perm,))
-        terms = {}
-        for exps, c in self.terms.items():
-            nexps = [0] * n
-            for i, e in enumerate(exps):
-                nexps[perm[i]] = e
-            terms[tuple(nexps)] = c
-        return self._raw(terms)
-
     def coefficients_in(self, var):
         """Coefficients w.r.t. one variable: {degree: MPoly with var removed}.
 
@@ -463,10 +447,6 @@ PROJECTION_CENTERS = tuple(
     for a, b in sorted(itertools.product(range(21), repeat=2),
                        key=lambda c: (max(c), c))
 )
-
-
-# CHART_PERMS[k] swaps x0 and xk, moving the chart xk != 0 to x0 != 0.
-CHART_PERMS = ((0, 1, 2), (1, 0, 2), (2, 1, 0))
 
 
 def linear_change(p: MPoly, matrix) -> MPoly:

@@ -42,9 +42,6 @@ class TorusPair:
         """The degree-6 form G2^3 + G3^2."""
         return self.G2 ** 3 + self.G3 ** 2
 
-    def permuted(self, perm) -> "TorusPair":
-        return TorusPair(self.G2.permute_vars(perm), self.G3.permute_vars(perm))
-
 
 @dataclass(frozen=True)
 class ConditionVerdict:

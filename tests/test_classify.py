@@ -339,7 +339,45 @@ def test_classify_raw_unrecognized():
     cov = AffineCoverData(u1, u2, one, u1 * u2)
     report = classify(CoverSpec.raw_data(cov))
     assert report.case == CASE_INDETERMINATE
-    assert "point_probes" in report.certificates
+    assert report.notes == [
+        "raw data matches neither constructed normal form",
+        "branch decomposition failed: branch polynomial has chart degree 7 > 6",
+    ]
+    assert report.certificates == {}
+
+
+def test_match_flag_inverts_eta_exactly():
+    """``_match_flag`` recovers f from eta(f).  On eta(f) plus one or two
+    random monomials, and on random data, it returns None or a cubic whose
+    eta is the datum."""
+    rng = random.Random(19)
+    monomials = [(i, j) for i in range(4) for j in range(4 - i)]
+
+    def random_poly(count):
+        return MPoly(U_VARS, {rng.choice(monomials): rng.randint(-3, 3)
+                              for _ in range(count)})
+
+    outcomes = set()
+    for index in range(300):
+        f = TernaryCubic(tuple(rng.randint(-3, 3) for _ in range(10)))
+        if f.is_zero():
+            continue
+        cov = eta(f)
+        data = [cov.a, cov.b, cov.c, cov.d]
+        if index % 3 == 0:
+            assert classify_mod._match_flag(cov) == f
+            continue
+        if index % 3 == 1:
+            for _ in range(rng.randint(1, 2)):
+                data[rng.randrange(4)] += random_poly(1)
+        else:
+            data = [random_poly(rng.randint(1, 6)) for _ in range(4)]
+        match = classify_mod._match_flag(AffineCoverData(*data))
+        if match is not None:
+            matched = eta(match)
+            assert [matched.a, matched.b, matched.c, matched.d] == data
+        outcomes.add(match is None)
+    assert outcomes == {True, False}
 
 
 def test_classify_raw_zero_rejected():
@@ -451,19 +489,53 @@ def test_classify_flag_accepts_center_on_an_irrational_flex_line(monkeypatch):
     assert {mult for _, mult in polyring.squarefree_decomposition(elim).parts} == {1, 3}
 
 
-def _moved(point, perm):
-    """The point with coordinate i moved to position perm[i], scaled so that
-    its first nonzero coordinate is 1."""
-    moved = [None] * 3
-    for i, c in enumerate(point):
-        moved[perm[i]] = c
-    pivot = next(c for c in moved if c)
-    return tuple(c / pivot for c in moved)
+def _swap(perm):
+    """The matrix of the swap that moves coordinate i to position perm[i]."""
+    return [[int(j == perm[i]) for j in range(3)] for i in range(3)]
+
+
+def _adjugate(m):
+    """det(m) * m^-1, so the same projective map as m^-1."""
+    return [[m[(j + 1) % 3][(i + 1) % 3] * m[(j + 2) % 3][(i + 2) % 3]
+             - m[(j + 1) % 3][(i + 2) % 3] * m[(j + 2) % 3][(i + 1) % 3]
+             for j in range(3)] for i in range(3)]
+
+
+def _random_frame(rng):
+    """A seeded invertible integer matrix with entries in [-2, 2]."""
+    while True:
+        m = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
+        cof = _adjugate(m)
+        if sum(m[0][j] * cof[j][0] for j in range(3)):
+            return m
+
+
+def _apply(m, point):
+    """The projective point M * point, first nonzero coordinate 1."""
+    return polyring.projective_point(
+        tuple(sum(a * c for a, c in zip(row, point)) for row in m))
+
+
+def _changed(spec, m):
+    """The spec with every form p replaced by p(M * vars)."""
+    if spec.kind == "flag":
+        return CoverSpec.flag(TernaryCubic.from_poly(
+            linear_change(spec.flag_cubic.as_poly(), m)))
+    pair = spec.torus_pair
+    return CoverSpec.torus(TorusPair(linear_change(pair.G2, m),
+                                     linear_change(pair.G3, m)))
+
+
+SWAPS = ((0, 1, 2), (1, 0, 2), (2, 1, 0))
 
 
 def test_verdict_independent_of_chart():
-    """Swapping x0 with x1 or x2 moves the reported points and nothing else."""
-    inputs = (
+    """Every invertible change of coordinates p -> p(M * vars) moves the
+    reported points and nothing else: torus points by M^-1, flag cusps,
+    which are lines of the dual plane, by M^T.  A NotNormal witness is a
+    singular point of the moved cubic; under a swap of x0 with x1 or x2 it
+    is the moved witness of the given cubic."""
+    swapped_inputs = (
         CoverSpec.flag(TernaryCubic.from_poly(v0 ** 3 + 2 * v1 ** 3 + 3 * v2 ** 3
                                               + v0 * v1 * v2)),
         CoverSpec.flag(TernaryCubic.from_poly(v1 ** 3 + v2 ** 3 + v0 * v1 * v2)),
@@ -474,25 +546,38 @@ def test_verdict_independent_of_chart():
             + 9 * v0 * v1 * v2 + v1 ** 3 + v2 ** 3
         )),
     )
+    inputs = swapped_inputs + (
+        CoverSpec.flag(TernaryCubic.from_poly(v0 * v1 * v2)),
+        CoverSpec.flag(TernaryCubic.from_poly(v1 ** 2 * v2 - v0 ** 3)),
+        # The pair of test_torus.py whose points share a line x1 = 0.
+        CoverSpec.torus(TorusPair(x1 * x0 - x2 ** 2 + x2 * x0,
+                                  x1 * x2 * x0 + x2 ** 3 - x2 ** 2 * x0)),
+    )
+    rng = random.Random(19)
+    frames = [_swap(perm) for perm in SWAPS] + [_random_frame(rng) for _ in range(8)]
     for spec in inputs:
         base = classify(spec)
-        for perm in polyring.CHART_PERMS:
-            if spec.kind == "flag":
-                swapped = classify(CoverSpec.flag(spec.flag_cubic.permuted(perm)))
-            else:
-                swapped = classify(CoverSpec.torus(spec.torus_pair.permuted(perm)))
-            assert swapped.case == base.case, perm
-            assert swapped.total_branch.get("count") == base.total_branch.get("count")
-            assert set(swapped.total_branch.get("rational_points", ())) == {
-                _moved(p, perm) for p in base.total_branch.get("rational_points", ())
+        for index, m in enumerate(frames):
+            changed = _changed(spec, m)
+            moved = classify(changed)
+            move = _adjugate(m) if spec.kind == "torus" else [list(c) for c in zip(*m)]
+            assert moved.case == base.case, m
+            assert moved.total_branch.get("count") == base.total_branch.get("count")
+            assert set(moved.total_branch.get("rational_points", ())) == {
+                _apply(move, p) for p in base.total_branch.get("rational_points", ())
             }
-            assert swapped.total_branch.get("multiplicities", {}) == {
-                _moved(p, perm): m
-                for p, m in base.total_branch.get("multiplicities", {}).items()
+            assert moved.total_branch.get("multiplicities", {}) == {
+                _apply(move, p): mult
+                for p, mult in base.total_branch.get("multiplicities", {}).items()
             }
             if "singular_point" in base.certificates:
-                assert swapped.certificates["singular_point"] == \
-                    _moved(base.certificates["singular_point"], perm)
+                witness = dict(zip(V_VARS, moved.certificates["singular_point"]))
+                cubic = changed.flag_cubic.as_poly()
+                assert not any(cubic.partial_derivative(v).evaluate(witness)
+                               for v in V_VARS)
+                if index < len(SWAPS) and spec in swapped_inputs:
+                    assert moved.certificates["singular_point"] == \
+                        _apply(_adjugate(m), base.certificates["singular_point"])
 
 
 def test_classify_deterministic():
@@ -572,9 +657,7 @@ def _frame_at(rng, point):
     the adjugate of an invertible matrix whose first column is the point."""
     while True:
         n = [[point[i], rng.randint(-3, 3), rng.randint(-3, 3)] for i in range(3)]
-        cof = [[n[(j + 1) % 3][(i + 1) % 3] * n[(j + 2) % 3][(i + 2) % 3]
-                - n[(j + 1) % 3][(i + 2) % 3] * n[(j + 2) % 3][(i + 1) % 3]
-                for j in range(3)] for i in range(3)]
+        cof = _adjugate(n)
         if sum(n[0][j] * cof[j][0] for j in range(3)):
             return cof
 
@@ -680,7 +763,9 @@ def test_perfect_cube_fiber_matches_the_chart_fiber():
                                        * f.as_poly().partial_derivative("v0"))
         if f.is_zero():
             continue
-        expected = etamap.is_perfect_cube(etamap.fiber_binary_cubic(f, (a, b)))
+        fiber = etamap.fiber_binary_cubic(f).entries()
+        expected = etamap.is_perfect_cube(etamap.BinaryCubic(
+            *(e.evaluate({"u1": a, "u2": b}) for e in fiber)))
         assert classify_mod._perfect_cube_fiber(f, (1, a, b)) == expected
         seen.add(expected)
     assert seen == {True, False}

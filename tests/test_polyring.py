@@ -386,6 +386,24 @@ def test_only_the_kernel_restricts_to_a_line():
             assert "_to_chart" not in defined
 
 
+def test_one_way_to_move_coordinates():
+    """``linear_change`` is the only change of coordinates: no module
+    defines a permutation of the variables or a table of chart swaps, and
+    the fiber cubic is only the symbolic one, taking f alone."""
+    for path in Path(polyring.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        defined = {node.name for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef)}
+        defined |= {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+        assert not defined & {"permute_vars", "CHART_PERMS", "permuted"}, path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "fiber_binary_cubic":
+                args = node.args
+                assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] \
+                    == ["f"] and not (args.vararg or args.kwarg)
+
+
 def test_no_unreferenced_private_functions():
     """Every module-level function of the package whose name starts with
     ``_`` is referenced somewhere in the package."""
