@@ -34,10 +34,9 @@ from .polyring import (
     repeated_part,
     resultant,
     squarefree_line,
-    squarefree_part,
 )
 from .polyparse import print_poly
-from .univar import common_points
+from .univar import lift_directions
 
 CASE_FLAG_BUNDLE = "FlagBundle"
 CASE_CUBIC_SURFACE = "CubicSurface"
@@ -164,34 +163,36 @@ def _match_flag(cov: AffineCoverData) -> etamap.TernaryCubic | None:
 # Singular point witness (for NotNormal reports)
 
 
-def _singular_points(f: etamap.TernaryCubic, reduced: bool):
-    """The rational singular points of f, least first by ``_witness_key``.
+def _singular_points(f: etamap.TernaryCubic, form: MPoly | None):
+    """The rational singular points of f, least first by ``_witness_key``,
+    read off its branch sextic ``form`` (None when D_f = 0: then f = l^2 m
+    and the list holds one point of l).
 
-    ``reduced`` says that D_f != 0.  Otherwise f has a repeated line, and
-    the list holds one point of it.  The singular points of a reduced f are
-    common points of f and its polar conic sum q_i df/dv_i at q, the first
-    of ``PROJECTION_CENTERS`` off f.  A common point on a line through q is
-    a singular point or a point where the line is tangent, so the line
-    meets f at least twice there.  The line meets f only three times, so
-    each direction holds one common point, and the curves share no
-    component.  The polar is 3 f(q) != 0 at q, so ``common_points`` tries q
-    first and accepts it; the points where the gradient vanishes are kept.
+    With q = (a, b, 1) the first of ``PROJECTION_CENTERS`` off f, f on the
+    line (w0, w1, 0) + s*q is a cubic F(s) of degree 3 whose F' is the polar
+    sum q_i df/dv_i, and ``lift_directions`` reads F's one multiple root at
+    most off gcd(F, F').  With (1 : t) for the line through q and (1, t, 0),
+    B = form on (0, 1, -b) + t*(-1, 0, a) is the eliminant Res_s(F, F') =
+    +-f(q) disc F up to a nonzero constant, as disc F = -27 D_f at the line's
+    dual point; a singular point p puts (p . x)^2 into the sextic.  For
+    D_f = 0, the roots (1 : 0), (0 : 1) of w0*w1 lift to two points of l,
+    whose v2-coordinates r, r' give l . (v2 = 0) = (r' : -r : 0).
     """
     fp = f.as_poly()
     gradient = [fp.partial_derivative(v) for v in V_VARS]
-    if reduced:
-        q = next(c for c in PROJECTION_CENTERS if fp.evaluate(dict(zip(V_VARS, c))))
-        polar = sum((c * d for c, d in zip(q, gradient)), MPoly.zero(V_VARS))
-        _, _, _, common = common_points(fp, polar)
-        points = [p for p, _ in common]
-    else:
-        line = squarefree_part(repeated_part(fp))
-        a, b, _ = (line.terms.get(e, Fraction(0))
-                   for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-        points = [projective_point((-b, a, 0) if a or b else (1, 0, 0))]
-    singular = [p for p in points
+    q = next(c for c in PROJECTION_CENTERS if fp.evaluate(dict(zip(V_VARS, c))))
+    polar = sum((c * d for c, d in zip(q, gradient)), MPoly.zero(V_VARS))
+    line = ([0, 1], 2) if form is None else (_on_line(form, (0, 1, -q[1]), (-1, 0, q[0])), 6)
+    lifted = lift_directions(fp, polar, *line, q)
+    if lifted is None:
+        raise LemmaViolation("a line through q holds two multiple points of f (internal bug)")
+    points = [p for p, _ in lifted]
+    if form is None:
+        (_, _, r), (_, _, s) = points
+        points = [(s, -r, 0) if r or s else (1, 0, 0)]
+    singular = [projective_point(p) for p in points
                 if not any(d.evaluate(dict(zip(V_VARS, p))) for d in gradient)]
-    if not (reduced or singular):
+    if form is None and not singular:
         raise LemmaViolation("D_f vanishes but f has no repeated line (internal bug)")
     return sorted(singular, key=_witness_key)
 
@@ -230,7 +231,7 @@ def _classify_flag(f: etamap.TernaryCubic) -> ClassificationReport:
     form = None if D.is_zero() else homogenize(D, 6, X_VARS)
     certificates = {}
     if form is None or not _certify_line(certificates, form):
-        witness = next(iter(_singular_points(f, form is not None)), None)
+        witness = next(iter(_singular_points(f, form)), None)
         if witness is not None or not repeated_part(form).is_constant():
             report = ClassificationReport(CASE_NOT_NORMAL)
             report.certificates["smooth"] = False

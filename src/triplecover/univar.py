@@ -1,9 +1,11 @@
 """Univariate helpers: coefficient lists, rational roots, and the rational
 common points of two plane curves, found by projecting them onto a
-univariate eliminant.  ``common_points`` holds the one center policy that
-every finite locus of the package uses: the flexes of a cubic, the points
-G2 = G3 = 0 and the singular points of a cubic.  ``interpolate`` has no
-caller in the package; it is kept only because the benchmark reports it.
+univariate eliminant.  ``common_points`` holds the one center policy of the
+two loci that need an eliminant: the flexes of a cubic and G2 = G3 = 0.
+The singular points of a cubic need none; their directions are the roots
+of its branch sextic on a line, and ``lift_directions`` lifts them too.
+``interpolate`` has no caller in the package; it is kept only because the
+benchmark reports it.
 
 Everything is exact: rational roots come from p-adic lifting and are checked
 by evaluation, with no floating point anywhere.  The squarefree part of an
@@ -190,42 +192,49 @@ def project(g: MPoly, h: MPoly, center):
     return m, g, h, resultant(dehomogenize(g, U_VARS), dehomogenize(h, U_VARS), "u2")
 
 
-def _lift_direction(g: MPoly, h: MPoly, w0, w1):
-    """The w2 of the one common point (w0 : w1 : w2) of the ternary forms
-    g = h = 0 on the line through (0 : 0 : 1) and (w0 : w1 : 0), or None
-    when the gcd G of g and h on that line, of degree d, is not a multiple
-    of (x2 - r)^d with r = -G[d - 1] / (d G[d])."""
-    common = _gcd(*(_on_line(form, (w0, w1, 0), (0, 0, 1)) for form in (g, h)))
+def _lift_direction(g: MPoly, h: MPoly, P, Q):
+    """The r of the one common point P + r*Q of the ternary forms g = h = 0
+    on the line through the integer points P and Q, Q off both forms, or
+    None when the gcd G of g and h on that line, of degree d, is not a
+    multiple of (s - r)^d with r = -G[d - 1] / (d G[d])."""
+    common = _gcd(*(_on_line(form, P, Q) for form in (g, h)))
     d = len(common) - 1
     r = Fraction(-common[d - 1], d * common[d]) if d else None
     return r if d and root_multiplicity(common, r) == d else None
 
 
-def projected_points(projection):
-    """The rational common points of a ``project`` result with a nonzero
-    eliminant, each as (point, multiplicity of its direction), or None when
-    a rational direction holds more than one common point.
-
-    The rational directions are (q : n) for the rational roots n/q of the
-    eliminant, and (0 : 1) when its degree falls short.  Each is lifted to
-    its one common point, which is then rational, by the univariate gcd of
-    g and h restricted to it (``_lift_direction``), and M maps it back.
-    """
-    m, g, h, elim = projection
-    coeffs = to_univariate(elim, "u1")
+def lift_directions(g: MPoly, h: MPoly, coeffs, degree, center):
+    """(point, multiplicity) for each rational direction of a nonzero binary
+    form of the given degree, with ascending coefficients on (1 : t): (q : n)
+    for a rational root n/q, and (0 : 1) for a shortfall in degree.  The
+    point is the one common point of g and h on the line through (w0 : w1 : 0)
+    and the integer center, off both; None when a direction holds several."""
     directions = [((t.denominator, t.numerator), root_multiplicity(coeffs, t))
                   for t in rational_roots(coeffs)]
-    deficit = g.total_degree() * h.total_degree() - elim.total_degree()
+    deficit = degree - max(i for i, c in enumerate(coeffs) if c)
     if deficit:
         directions.append(((0, 1), deficit))
     points = []
     for (w0, w1), mult in directions:
-        w2 = _lift_direction(g, h, w0, w1)
-        if w2 is None:
+        r = _lift_direction(g, h, (w0, w1, 0), center)
+        if r is None:
             return None
-        point = [sum(r * c for r, c in zip(row, (w0, w1, w2))) for row in m]
-        points.append((projective_point(point), mult))
+        points.append((tuple(w + r * c for w, c in zip((w0, w1, 0), center)), mult))
     return points
+
+
+def projected_points(projection):
+    """The rational common points of a ``project`` result with a nonzero
+    eliminant, each as (point, multiplicity of its direction), or None when
+    a rational direction holds more than one common point.  Each direction
+    is lifted from the center (0 : 0 : 1), and M maps the point back."""
+    m, g, h, elim = projection
+    points = lift_directions(g, h, to_univariate(elim, "u1"),
+                             g.total_degree() * h.total_degree(), (0, 0, 1))
+    if points is None:
+        return None
+    return [(projective_point([sum(r * c for r, c in zip(row, w)) for row in m]), mult)
+            for w, mult in points]
 
 
 def common_points(g: MPoly, h: MPoly):
@@ -237,8 +246,8 @@ def common_points(g: MPoly, h: MPoly):
     Every rational common point lies on a rational direction, so the points
     are all of them, each with the multiplicity of its direction.  A center
     fails only on g, on h or on a line through two common points.  When
-    these make a curve of degree at most 20, as for each locus of the
-    package, it misses a point of the 21 x 21 grid of centers.  A zero
+    these make a curve of degree at most 20, as for both loci it serves
+    (flexes, G2 = G3 = 0), it misses a point of the 21 x 21 grid.  A zero
     eliminant raises CommonComponent; running out of centers raises
     IndeterminateCount.
     """

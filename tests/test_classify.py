@@ -2,8 +2,11 @@
 
 import importlib
 import itertools
+import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,10 +22,13 @@ from triplecover.classify import (
 )
 from triplecover import cover, etamap, polyring, torus, univar
 from triplecover.cover import AffineCoverData, branch_decomposition, derived_invariants
-from triplecover.errors import DegenerateCover, DegenerateCubic, TripleCoverError
+from triplecover.errors import DegenerateCover, DegenerateCubic, LemmaViolation, TripleCoverError
 from triplecover.etamap import TernaryCubic, eta
 from triplecover.polyring import MPoly, U_VARS, V_VARS, X_VARS, gcd, linear_change
 from triplecover.torus import TorusPair, build_cover
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402
 
 classify_mod = importlib.import_module("triplecover.classify")
 
@@ -461,6 +467,134 @@ def test_classify_flag_work_count(monkeypatch, index):
     monkeypatch.undo()
     assert len(invariants) == 1
     assert exact == []
+
+
+# The witnesses of the classical singular cubics of the benchmark, moved to
+# f(_MOVE v).
+WORKLOAD_WITNESSES = {
+    "nodal": (1, Fraction(-1, 2), Fraction(-1, 2)),
+    "cuspidal": (1, Fraction(-1, 2), Fraction(-1, 2)),
+    "conic_line": (1, Fraction(-1, 3), Fraction(-2, 3)),
+    "conic_tangent": (1, -1, -1),
+    "triangle": (1, Fraction(-1, 2), Fraction(-1, 2)),
+    "concurrent_lines": (1, Fraction(-1, 2), Fraction(-1, 2)),
+    "double_line": (1, Fraction(-1, 2), 0),
+}
+
+
+def test_classify_singular_workload_cubics_work_count(monkeypatch):
+    """Each classical singular cubic of the benchmark gets its witness off
+    the branch sextic on one line: D_f is built once, and no resultant,
+    subresultant, gcd, gradient gcd or ``common_points`` runs."""
+    invariants, work = [], []
+    for module in (cover, etamap):
+        _counting(monkeypatch, module, "derived_invariants", invariants)
+    for owner, name in ((polyring, "resultant"), (polyring, "_subresultants"),
+                        (polyring, "_gradient_gcd"), (polyring, "gcd"),
+                        (univar, "common_points")):
+        inner = getattr(owner, name)
+        for module in (polyring, univar, cover, etamap, torus, classify_mod):
+            if getattr(module, name, None) is inner:
+                monkeypatch.setattr(module, name, lambda *args, name=name, inner=inner:
+                                    work.append(name) or inner(*args))
+    assert set(workloads.SINGULAR_CUBICS) == set(WORKLOAD_WITNESSES)
+    for kind, terms in workloads.SINGULAR_CUBICS.items():
+        f = linear_change(MPoly(V_VARS, terms), _MOVE)
+        report = classify(CoverSpec.flag(TernaryCubic.from_poly(f)))
+        assert report.certificates["singular_point"] == WORKLOAD_WITNESSES[kind], kind
+    monkeypatch.undo()
+    assert len(invariants) == len(WORKLOAD_WITNESSES)
+    assert work == []
+
+
+def _sextic(form):
+    """The branch sextic that ``classify`` reads the witness off, or None
+    when D_f = 0."""
+    D = derived_invariants(eta(TernaryCubic.from_poly(form))).D
+    return None if D.is_zero() else polyring.homogenize(D, 6, X_VARS)
+
+
+def _moved(rng, lower):
+    """A random invertible integer matrix, lower triangular if ``lower``:
+    then f(M v) vanishes at (0 : 0 : 1) just when f does, and M^-1 keeps the
+    lines through it."""
+    while True:
+        m = [[rng.randint(-3, 3) if not lower or j <= i else 0 for j in range(3)]
+             for i in range(3)]
+        det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+               - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+               + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+        if det:
+            return m
+
+
+# Cubics with planted rational singular points, and whether a lower
+# triangular matrix must move them to keep their feature.
+_u = v2 - v1
+PLANTED = {
+    # A node at (0 : 1 : 1), on the direction (0 : 1) from q = (0 : 0 : 1).
+    "direction_01": (v1 * (v0 ** 2 - _u ** 2) + v0 ** 3 + 2 * _u ** 3, [(0, 1, 1)], True),
+    # A node at (1 : 0 : 0) on a cubic through (0 : 0 : 1), so q moves.
+    "q_moves": (v0 * (v1 ** 2 - v2 ** 2) + v1 ** 3 + 2 * v1 ** 2 * v2, [(1, 0, 0)], True),
+    # A cusp at (1 : 0 : 0) with tangent v1 = 0 through q = (0 : 0 : 1):
+    # f is a cube on that line, and gcd(F, F') has degree 2.
+    "cusp_tangent_through_q": (v0 * v1 ** 2 + v1 ** 3 + v2 ** 3, [(1, 0, 0)], True),
+    "triangle": (v0 * v1 * v2, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], False),
+    "concurrent_lines": (v0 * v1 * (v0 + v1), [(0, 0, 1)], False),
+}
+
+
+@pytest.mark.parametrize("kind", PLANTED)
+def test_singular_points_planted_and_moved(kind):
+    """f(M v) is singular exactly at the points r with M r a planted point,
+    and the search returns all of them, least first, checked exactly."""
+    form, planted, lower = PLANTED[kind]
+    rng = random.Random(kind)
+    origin = dict(zip(V_VARS, (0, 0, 1)))
+    for m in [[[int(i == j) for j in range(3)] for i in range(3)]] \
+            + [_moved(rng, lower) for _ in range(6)]:
+        moved = linear_change(form, m)
+        got = classify_mod._singular_points(TernaryCubic.from_poly(moved), _sextic(moved))
+        assert got == sorted(got, key=classify_mod._witness_key)
+        assert {polyring.projective_point([sum(a * c for a, c in zip(row, r)) for row in m])
+                for r in got} == {polyring.projective_point(p) for p in planted}
+        assert len(got) == len(planted)
+        if kind == "direction_01":
+            assert moved.evaluate(origin) and got[0][0] == 0
+        if kind == "q_moves":
+            assert not moved.evaluate(origin)
+        if kind == "cusp_tangent_through_q":
+            scale = math.lcm(*(c.denominator for c in got[0]))
+            cusp = [int(c * scale) for c in got[0]]
+            assert moved.evaluate(origin)
+            assert polyring._on_line(moved, cusp, (0, 0, 1))[:3] == [0, 0, 0]
+
+
+def test_singular_points_of_a_double_line():
+    """For f = l^2 m (D_f = 0) the one point is where l meets v2 = 0, or
+    (1 : 0 : 0) when l is v2; with l = v0 moved by M, l(M r) = 0."""
+    form = v0 ** 2 * v1 + v0 ** 2 * v2
+    rng = random.Random(5)
+    frames = [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]]] \
+        + [_moved(rng, False) for _ in range(6)]
+    for m in frames:
+        moved = linear_change(form, m)
+        assert _sextic(moved) is None
+        (point,) = classify_mod._singular_points(TernaryCubic.from_poly(moved), None)
+        at = dict(zip(V_VARS, point))
+        assert not any(moved.partial_derivative(v).evaluate(at) for v in V_VARS)
+        assert sum(a * c for a, c in zip(m[0], point)) == 0
+        assert point[2] == 0 or (m[0][:2] == [0, 0] and point == (1, 0, 0))
+    assert classify_mod._singular_points(TernaryCubic.from_poly(form), None) == [(0, 1, 0)]
+
+
+def test_singular_points_raise_when_a_direction_does_not_lift(monkeypatch):
+    """A direction that does not lift is an internal bug, not a dropped
+    point, with D_f != 0 and with D_f = 0."""
+    monkeypatch.setattr(univar, "_lift_direction", lambda *args: None)
+    for form in (v0 * v1 * v2, v0 ** 2 * v1 + v0 ** 2 * v2):
+        with pytest.raises(LemmaViolation):
+            classify_mod._singular_points(TernaryCubic.from_poly(form), _sextic(form))
 
 
 def test_classify_flag_accepts_center_on_an_irrational_flex_line(monkeypatch):

@@ -15,8 +15,12 @@ from sympy.polys.subresultants_qq_zz import sylvester  # noqa: E402
 
 from triplecover import univar  # noqa: E402
 from triplecover.classify import CoverSpec, _singular_points, classify  # noqa: E402
-from triplecover.cover import LineRestriction, is_line_cover_connected  # noqa: E402
-from triplecover.etamap import TernaryCubic  # noqa: E402
+from triplecover.cover import (  # noqa: E402
+    LineRestriction,
+    derived_invariants,
+    is_line_cover_connected,
+)
+from triplecover.etamap import TernaryCubic, eta  # noqa: E402
 from triplecover.polyring import (  # noqa: E402
     MPoly,
     T_VARS,
@@ -25,6 +29,8 @@ from triplecover.polyring import (  # noqa: E402
     X4_VARS,
     X_VARS,
     gcd,
+    homogenize,
+    linear_change,
     resultant,
     squarefree_decomposition,
     squarefree_line,
@@ -287,13 +293,78 @@ def test_singular_points_match_sympy():
                 or any(m > 1 for _, m in sympy.sqf_list(to_sympy(p))[1]):
             continue
         expected = singular_points_oracle(p)
-        got = _singular_points(TernaryCubic.from_poly(p), True)
+        got = _singular_points(TernaryCubic.from_poly(p), _sextic(p))
         assert set(got) == expected and len(got) == len(expected)
         assert got == sorted(expected, key=_witness_key)
         report = classify(CoverSpec.flag(TernaryCubic.from_poly(p)))
         assert report.certificates.get("singular_point") == \
             min(expected, key=_witness_key, default=None)
         checked += 1
+
+
+def _sextic(p: MPoly):
+    """The branch sextic homogenize(D_f, 6) that ``classify`` reads the
+    witness off, or None when D_f = 0."""
+    D = derived_invariants(eta(TernaryCubic.from_poly(p))).D
+    return None if D.is_zero() else homogenize(D, 6, X_VARS)
+
+
+def _random_frame(rng):
+    while True:
+        m = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
+        if sympy.Matrix(m).det():
+            return m
+
+
+def test_double_line_witness_matches_sympy():
+    """For f = l^2 m (D_f = 0), l^3 included, the one point is where
+    sympy's repeated factor l = a*v0 + b*v1 + c*v2 meets v2 = 0, that is
+    (-b : a : 0), or (1 : 0 : 0) when l = v2, and the report's witness."""
+    rng = random.Random(106)
+    v = [MPoly.variable(V_VARS, x) for x in V_VARS]
+    checked = 0
+    while checked < 24:
+        l, m = (random_form(rng, V_VARS, 1) for _ in range(2))
+        if checked % 4 == 1:
+            m = l  # a triple line
+        if checked % 4 == 2:
+            l = v[2]
+        if checked % 4 == 3:
+            l = rng.randint(1, 3) * v[0] + rng.randint(-3, 3) * v[1]  # through (0 : 0 : 1)
+        p = l ** 2 * m
+        if p.total_degree() != 3:
+            continue
+        assert _sextic(p) is None
+        (repeated,) = [q for q, k in sympy.sqf_list(to_sympy(p))[1] if k > 1]
+        a, b = (Fraction(str(repeated.coeff_monomial(GENS[x]))) for x in ("v0", "v1"))
+        expected = (-b, a, 0) if a or b else (1, 0, 0)
+        pivot = next(c for c in expected if c)
+        expected = tuple(Fraction(c) / pivot for c in expected)
+        got = _singular_points(TernaryCubic.from_poly(p), None)
+        assert got == [expected]
+        report = classify(CoverSpec.flag(TernaryCubic.from_poly(p)))
+        assert report.certificates["singular_point"] == expected
+        checked += 1
+
+
+def test_conjugate_singular_points_have_no_rational_witness():
+    """A smooth conic times a line that meets it in two conjugate points,
+    and three lines conjugate over Q(2^(1/3)), in random integer frames:
+    sympy finds no rational singular point, nor does the search, and the
+    report says that no witness is rational."""
+    rng = random.Random(107)
+    v0, v1, v2 = (MPoly.variable(V_VARS, x) for x in V_VARS)
+    shapes = [(v0 ** 2 + n * v1 ** 2 - v2 ** 2) * v2 for n in (1, 2, 3, 5)]
+    shapes.append(v0 ** 3 + 2 * v1 ** 3 + 4 * v2 ** 3 - 6 * v0 * v1 * v2)
+    for shape in shapes:
+        for _ in range(3):
+            p = linear_change(shape, _random_frame(rng))
+            assert singular_points_oracle(p) == set()
+            assert _singular_points(TernaryCubic.from_poly(p), _sextic(p)) == []
+            report = classify(CoverSpec.flag(TernaryCubic.from_poly(p)))
+            assert report.case == "NotNormal"
+            assert "singular_point" not in report.certificates
+            assert report.notes == ["dual cubic is singular (no rational witness)"]
 
 
 def polynomial_roots_oracle(quad: MPoly, const: MPoly):
@@ -471,7 +542,7 @@ def test_lift_direction_matches_sympy(kind):
             continue  # (0 : 0 : 1) lies on a form
         common = sympy.sqf_part(sympy.gcd(*on_line))
         want = -common.all_coeffs()[1] / common.LC() if common.degree() == 1 else None
-        got = univar._lift_direction(*forms, Fraction(w0), Fraction(w1))
+        got = univar._lift_direction(*forms, (w0, w1, 0), (0, 0, 1))
         assert got == want
         if kind in ("transversal", "tangent"):
             assert got == r1
