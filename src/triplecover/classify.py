@@ -288,14 +288,16 @@ def _perfect_cube_fiber(f: etamap.TernaryCubic, point) -> bool:
 def _classify_torus(pair: torus.TorusPair) -> ClassificationReport:
     if pair is None:
         raise TripleCoverError("missing torus pair")
-    delta = pair.delta()
-    if delta.is_zero():
+    try:
+        conditions = torus.check_conditions(pair)
+    except TripleCoverError:
+        if not pair.delta().is_zero():
+            raise
         report = ClassificationReport(CASE_NOT_NORMAL)
         report.notes.append("G2^3 + G3^2 = 0: the branch form vanishes")
         return report
-    conditions = torus.check_conditions(pair)
-    branch = delta.monic()
-    report = ClassificationReport(CASE_CUBIC_SURFACE, branch_form=branch)
+    delta = conditions.delta
+    report = ClassificationReport(CASE_CUBIC_SURFACE, branch_form=delta.monic())
     report.certificates["conditions"] = conditions
     if not conditions.all_hold():
         report.case = CASE_NOT_NORMAL

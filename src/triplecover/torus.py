@@ -100,11 +100,14 @@ def cubic_surface_form(pair: TorusPair) -> CubicSurfaceForm:
 
 def condition1(pair: TorusPair, delta: MPoly) -> ConditionVerdict:
     """Does G2^3 + G3^2 cut out the given degree-6 form (up to scale)?"""
+    return _condition1(pair.delta(), delta)
+
+
+def _condition1(own: MPoly, delta: MPoly) -> ConditionVerdict:
     if delta.is_zero():
         raise TripleCoverError("condition 1 against the zero form")
     if not delta.is_homogeneous() or delta.total_degree() != 6:
         raise TripleCoverError("condition 1 needs a degree-6 form")
-    own = pair.delta()
     if own.is_zero():
         return ConditionVerdict(False)
     exps, lead = delta.leading_term()
@@ -115,41 +118,44 @@ def condition1(pair: TorusPair, delta: MPoly) -> ConditionVerdict:
 
 
 def condition2(pair: TorusPair) -> ConditionVerdict:
-    """No prime divides G2 while its square divides G3."""
+    """No prime divides G2 while its square divides G3.  Like the gcd of G2
+    and repeated_part(G3), but with no gradient gcd of G3, the witness
+    gcd(T, G3 / squarefree_part(T)), T = gcd(G2, G3), has valuation
+    min(a, b - 1) at a prime E with a = v_E(G2) >= 1 and b = v_E(G3) >= 1,
+    and 0 elsewhere.  If a form is zero, the witness is the gcd's radical."""
+    return _condition2(pair, gcd(pair.G2, pair.G3))
+
+
+def _condition2(pair: TorusPair, T: MPoly) -> ConditionVerdict:
     if pair.G2.is_zero() and pair.G3.is_zero():
         raise TripleCoverError("condition 2 with both forms zero")
-    if pair.G3.is_zero():
-        # G2 is then a nonzero conic, and each of its primes fails (2): E^2 | 0.
-        return ConditionVerdict(False, witness=squarefree_part(pair.G2))
-    if pair.G2.is_zero():
-        rep = repeated_part(pair.G3)
-        if rep.is_constant():
-            return ConditionVerdict(True)
-        return ConditionVerdict(False, witness=squarefree_part(rep))
-    g = gcd(pair.G2, repeated_part(pair.G3))
+    g = gcd(T, exact_divide(squarefree_part(T), pair.G3))
     if g.is_constant():
         return ConditionVerdict(True)
+    if pair.G2.is_zero() or pair.G3.is_zero():
+        g = squarefree_part(g)
     return ConditionVerdict(False, witness=g)
 
 
 def condition3(pair: TorusPair) -> ConditionVerdict:
     """Every prime whose square divides G2^3 + G3^2 must divide G2.
 
-    With T = gcd(G2, G3), the repeated part of delta / T^2 decides, where
-    delta = G2^3 + G3^2.  T^2 divides delta: for a prime E with v_E(G2) = a
-    and v_E(G3) = b, v_E(delta) >= min(3a, 2b) >= 2 min(a, b) = v_E(T^2).
-    The offending primes, and so the witness, are those of the whole
-    sextic: a prime E that does not divide G2 does not divide T, so E^2
-    divides delta / T^2 exactly when E^2 divides delta.  The quotient has
-    degree 6 - 2 deg T, and ``repeated_part`` tries a line of
-    ``SQUAREFREE_LINES`` on it before any gradient gcd.  Every prime
-    divides G2 = 0, so (3) then holds, and indeed T is G3 up to scale and
-    the quotient is constant.
+    The repeated part of delta / T^2 decides, where delta = G2^3 + G3^2
+    and T = gcd(G2, G3); ``check_conditions`` builds both once.  T^2
+    divides delta: for a prime E with v_E(G2) = a and v_E(G3) = b,
+    v_E(delta) >= min(3a, 2b) >= 2 min(a, b) = v_E(T^2).  The offending
+    primes, and so the witness, are those of the whole sextic: a prime E
+    that does not divide G2 does not divide T, so E^2 divides delta / T^2
+    exactly when E^2 divides delta.  The quotient has degree 6 - 2 deg T,
+    and ``repeated_part`` tries a line of ``SQUAREFREE_LINES`` on it before
+    any gradient gcd.  Every prime divides G2 = 0, so (3) then holds.
     """
-    delta = pair.delta()
+    return _condition3(pair, pair.delta(), gcd(pair.G2, pair.G3))
+
+
+def _condition3(pair: TorusPair, delta: MPoly, T: MPoly) -> ConditionVerdict:
     if delta.is_zero():
         raise DegenerateTorus("G2^3 + G3^2 = 0: condition 3 undefined")
-    T = gcd(pair.G2, pair.G3)
     rep = repeated_part(exact_divide(T * T, delta))
     ok, offending = radical_divides(rep, pair.G2)
     if ok:
@@ -158,8 +164,10 @@ def condition3(pair: TorusPair) -> ConditionVerdict:
 
 
 def check_conditions(pair: TorusPair, delta: MPoly | None = None) -> ConditionReport:
-    c1 = condition1(pair, delta) if delta is not None else None
-    return ConditionReport(c1, condition2(pair), condition3(pair), pair.delta())
+    """(1) to (3) in one pass: delta and T = gcd(G2, G3) are built once."""
+    own, T = pair.delta(), gcd(pair.G2, pair.G3)
+    c1 = _condition1(own, delta) if delta is not None else None
+    return ConditionReport(c1, _condition2(pair, T), _condition3(pair, own, T), own)
 
 
 @dataclass(frozen=True)

@@ -923,9 +923,8 @@ def test_cross_validate_rechecks_squarefree_line():
 
 
 def test_classify_generic_torus_pair_takes_no_gradient_gcd(monkeypatch):
-    """Every repeated-factor question of a generic torus classification,
-    the repeated part of G3 in condition (2) included, is certified on a
-    line, so no exact gradient gcd runs."""
+    """Every repeated-factor question of a generic torus classification is
+    certified on a line, so no exact gradient gcd runs."""
     exact = []
     _counting(monkeypatch, polyring, "_gradient_gcd", exact)
     pair = TorusPair(x0 * x1, x2 ** 3 - x0 ** 3)
@@ -935,8 +934,9 @@ def test_classify_generic_torus_pair_takes_no_gradient_gcd(monkeypatch):
 
 def test_classify_torus_gcd_of_the_pair_work_count(monkeypatch):
     """``total_branch_points`` reads a shared component off a zero
-    eliminant and takes no gcd(G2, G3); a torus classification takes two,
-    in ``condition3`` and for the split S + 2T."""
+    eliminant and takes no gcd(G2, G3); a torus classification takes two:
+    one in ``check_conditions``, shared by conditions (2) and (3), and one
+    for the split S + 2T."""
     pair = TorusPair(x0 * x1, x2 ** 3 - x0 ** 3)
     calls = []
     for module in (torus, classify_mod):
@@ -945,3 +945,32 @@ def test_classify_torus_gcd_of_the_pair_work_count(monkeypatch):
     assert calls == []
     assert classify(CoverSpec.torus(pair)).case == CASE_CUBIC_SURFACE
     assert calls.count((pair.G2, pair.G3)) == 2
+
+
+def test_classify_torus_one_pass_work_count(monkeypatch):
+    """A torus classification and ``check_conditions`` alone each build
+    delta = G2^3 + G3^2 once.  A factored pair G2 = E*L1, G3 = E^2*L2
+    (x0*x1 and x0^2*x2 moved by seeded integer matrices, like the
+    benchmark's) fails (2) with one gcd(G2, G3) and no gradient gcd."""
+    deltas, pair_gcds, exact = [], [], []
+    _counting(monkeypatch, TorusPair, "delta", deltas)
+    for module in (torus, classify_mod):
+        _counting(monkeypatch, module, "gcd", pair_gcds)
+    _counting(monkeypatch, polyring, "_gradient_gcd", exact)
+    pair = TorusPair(x0 * x1, x2 ** 3 - x0 ** 3)
+    assert classify(CoverSpec.torus(pair)).case == CASE_CUBIC_SURFACE
+    assert len(deltas) == 1
+    torus.check_conditions(pair)
+    assert len(deltas) == 2
+    rng = random.Random(22)
+    for _ in range(8):
+        m = _moved(rng, False)
+        pair = TorusPair(linear_change(x0 * x1, m), linear_change(x0 ** 2 * x2, m))
+        del deltas[:], pair_gcds[:]
+        report = classify(CoverSpec.torus(pair))
+        assert report.case == CASE_NOT_NORMAL
+        assert not report.certificates["conditions"].condition2.holds
+        assert len(deltas) == 1
+        assert pair_gcds.count((pair.G2, pair.G3)) == 1
+    monkeypatch.undo()
+    assert exact == []

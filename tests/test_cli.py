@@ -85,6 +85,15 @@ def test_torus_check_failing(capsys):
 def test_torus_check_degenerate(capsys):
     code, _, err = invoke(capsys, "torus-check", "--g2=-x0^2", "--g3", "x0^3")
     assert code == 4
+    assert err == "degenerate input: G2^3 + G3^2 = 0: condition 3 undefined\n"
+
+
+def test_torus_check_both_forms_zero(capsys):
+    """G2 = G3 = 0 fails condition (2) before the zero sextic fails (3)."""
+    code, out, err = invoke(capsys, "torus-check", "--g2=0", "--g3=0")
+    assert code == 4
+    assert out == ""
+    assert err == "error: condition 2 with both forms zero\n"
 
 
 def test_classify_fermat_json(capsys):

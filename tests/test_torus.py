@@ -15,10 +15,12 @@ from triplecover.polyring import (
     gcd,
     homogenize,
     linear_change,
+    repeated_part,
     resultant,
     squarefree_part,
 )
 from triplecover.torus import (
+    ConditionVerdict,
     TorusPair,
     build_cover,
     check_conditions,
@@ -52,6 +54,16 @@ def random_pair(rng):
         pair = TorusPair(random_form(rng, 2), random_form(rng, 3))
         if not pair.delta().is_zero():
             return pair
+
+
+def _moved(rng):
+    """A seeded invertible integer matrix with entries in [-3, 3]."""
+    while True:
+        m = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
+        if (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])):
+            return m
 
 
 def test_pair_validation():
@@ -157,6 +169,53 @@ def test_check_conditions_report():
     report = check_conditions(ACCEPT_PAIR, 4 * ACCEPT_PAIR.delta())
     assert report.all_hold()
     assert report.condition1.holds
+
+
+def test_check_conditions_error_precedence():
+    """Errors come in the order of the conditions: a bad target form (1),
+    then G2 = G3 = 0 (2), then a zero sextic (3), which (2) alone decides."""
+    zero, vanishing = MPoly.zero(X_VARS), TorusPair(-(x0 ** 2), x0 ** 3)
+    with pytest.raises(TripleCoverError, match="condition 1 against the zero form"):
+        check_conditions(TorusPair(zero, zero), zero)
+    with pytest.raises(TripleCoverError, match="condition 2 with both forms zero") as info:
+        check_conditions(TorusPair(zero, zero))
+    assert not isinstance(info.value, DegenerateTorus)
+    with pytest.raises(DegenerateTorus, match="condition 3 undefined"):
+        check_conditions(vanishing)
+    assert condition2(vanishing) == ConditionVerdict(False, witness=x0 ** 2)
+
+
+def _planted_cofactors(rng, a, b, E):
+    """Cofactors c2 and c3 of degrees 2 - a and 3 - b: prime to E and to
+    each other, and c3 squarefree, so the planted E alone meets (2)."""
+    while True:
+        c2, c3 = random_form(rng, 2 - a, 3), random_form(rng, 3 - b, 3)
+        if c2.is_zero() or c3.is_zero():
+            continue
+        if all(gcd(p, q).is_constant() for p, q in ((E, c2), (E, c3), (c2, c3))) \
+                and repeated_part(c3).is_constant():
+            return c2, c3
+
+
+@pytest.mark.parametrize("a, b", itertools.product(range(3), range(4)))
+def test_condition2_reads_planted_valuations(a, b):
+    """v_E(G2) = a and v_E(G3) = b with random cofactors, moved by seeded
+    integer matrices: the witness is gcd(G2, repeated_part(G3)), E^min(a, b-1)
+    up to scale, and (2) holds exactly when not (a >= 1 and b >= 2)."""
+    rng = random.Random("condition2:%d:%d" % (a, b))
+    for _ in range(6):
+        E = random_form(rng, 1, 3)
+        if E.is_zero():
+            continue
+        c2, c3 = _planted_cofactors(rng, a, b, E)
+        m = _moved(rng)
+        pair = TorusPair(linear_change(E ** a * c2, m), linear_change(E ** b * c3, m))
+        reference = gcd(pair.G2, repeated_part(pair.G3))
+        verdict = condition2(pair)
+        assert verdict.holds == reference.is_constant() == (not (a >= 1 and b >= 2))
+        assert verdict.witness == (None if verdict.holds else reference)
+        if not verdict.holds:
+            assert reference == linear_change(E, m).monic() ** min(a, b - 1)
 
 
 # ---------------------------------------------------------------------------
