@@ -159,10 +159,11 @@ def split_branch(form: MPoly, T) -> BranchDecomposition:
     """The decomposition of a degree-6 form with the given total part T.
 
     T is monic and squarefree and T^2 divides form; S is the monic quotient
-    form / T^2 and the unit its leading coefficient.
+    form / T^2 and the unit its leading coefficient.  With T = 1 (a
+    squarefree form) nothing is divided: S is the form itself.
     """
     T = form._lift(T)
-    S = exact_divide(T * T, form)
+    S = form if T == 1 else exact_divide(T * T, form)
     return BranchDecomposition(S.monic(), T, S.leading_coefficient(), form)
 
 

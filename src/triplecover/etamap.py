@@ -137,15 +137,12 @@ def fiber_binary_cubic(f: TernaryCubic) -> BinaryCubic:
 
 
 def binary_cubic_discriminant(bc: BinaryCubic) -> MPoly:
-    """18pqrs - 4q^3 s + q^2 r^2 - 4p r^3 - 27 p^2 s^2."""
-    p, q, r, s = bc.entries()
-    return (
-        18 * p * q * r * s
-        - 4 * q ** 3 * s
-        + q ** 2 * r ** 2
-        - 4 * p * r ** 3
-        - 27 * p ** 2 * s ** 2
-    )
+    """18pqrs - 4q^3 s + q^2 r^2 - 4p r^3 - 27 p^2 s^2, read off the Hessian
+    covariant (h0, h1, h2) as (4*h0*h2 - h1^2) / 3: the classical identity
+    disc F = -disc(Hess F) / 3 in Z[p, q, r, s], at eight products of
+    entries."""
+    h0, h1, h2 = hessian_covariant(bc)
+    return (4 * h0 * h2 - h1 * h1) / Fraction(3)
 
 
 def delta_f(f: TernaryCubic) -> MPoly:

@@ -8,6 +8,7 @@ import pytest
 from triplecover import polyring
 from triplecover.cover import (
     AffineCoverData,
+    BranchDecomposition,
     branch_decomposition,
     derived_invariants,
     fiber_equations,
@@ -226,6 +227,22 @@ def test_split_branch():
     assert split_branch(form, 1).S == form.monic()
     with pytest.raises(TripleCoverError):
         split_branch(form, x0)
+
+
+def test_split_branch_by_one_divides_nothing(monkeypatch):
+    """A squarefree form (T = 1) is its own S: no ``polyring.divides`` runs,
+    and the decomposition is the one the division by T^2 = 1 gives."""
+    x0, x1, x2 = (MPoly.variable(X_VARS, v) for v in X_VARS)
+    form = -3 * (x0 ** 6 + x1 ** 6 + x2 ** 6 - 10 * x0 ** 3 * x1 ** 3)
+    S = polyring.exact_divide(MPoly.constant(X_VARS, 1), form)
+    calls = []
+    inner = polyring.divides
+    monkeypatch.setattr(polyring, "divides",
+                        lambda *args: calls.append(args) or inner(*args))
+    dec = split_branch(form, 1)
+    assert calls == []
+    assert dec == BranchDecomposition(S.monic(), MPoly.constant(X_VARS, 1),
+                                      S.leading_coefficient(), form)
 
 
 def test_restrict_to_line():

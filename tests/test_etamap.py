@@ -92,6 +92,23 @@ def test_binary_cubic_discriminant_formula():
     assert binary_cubic_discriminant(bc) == MPoly.constant(U_VARS, 4)
 
 
+def test_binary_cubic_discriminant_takes_eight_products(monkeypatch):
+    """Six products for the Hessian covariant (h0, h1, h2) and two for
+    4*h0*h2 - h1^2; products by a scalar are not counted."""
+    bc = fiber_binary_cubic(FERMAT)
+    products = []
+    inner = MPoly.__mul__
+
+    def counting(a, b):
+        if isinstance(b, MPoly):
+            products.append((a, b))
+        return inner(a, b)
+
+    monkeypatch.setattr(MPoly, "__mul__", counting)
+    binary_cubic_discriminant(bc)
+    assert len(products) <= 8
+
+
 def test_discrim_lemma_fermat():
     cert = verify_discrim_lemma(FERMAT)
     assert cert.lam == Fraction(-27)
