@@ -25,8 +25,8 @@ from .polyring import (
     PROJECTION_CENTERS,
     MPoly,
     T_VARS,
-    V_VARS,
     X_VARS,
+    _integer_terms,
     _on_line,
     gcd,
     homogenize,
@@ -36,7 +36,7 @@ from .polyring import (
     squarefree_line,
 )
 from .polyparse import print_poly
-from .univar import lift_directions
+from .univar import derivative, lift_directions
 
 CASE_FLAG_BUNDLE = "FlagBundle"
 CASE_CUBIC_SURFACE = "CubicSurface"
@@ -87,12 +87,24 @@ def _integer_frame(point):
     return point, tuple(int(c * scale) for c in point), k, [n for n in range(3) if n != k]
 
 
+def _jets_at(terms, point):
+    """(point, jets, jets(1, 0), jets(0, 1), singular) of ``_integer_terms`` at a
+    rational point p: jets(s, u) lists the jets c_n at p, the coefficients of t^n
+    on p + t*(s*e_i + u*e_j), zero-padded, e_i and e_j the unit vectors off p's
+    first nonzero x_k.  p is singular iff c_0 = c_1(e_i) = c_1(e_j) = 0 (Euler)."""
+    point, p, _, others = _integer_frame(point)
+    e_i, e_j = ([int(m == n) for m in range(3)] for n in others)
+
+    def jets(s, u):
+        return _on_line(terms, p, [s * a + u * b for a, b in zip(e_i, e_j)]) + [0, 0, 0]
+
+    along_i, along_j = jets(1, 0), jets(0, 1)
+    return point, jets, along_i, along_j, not (along_i[0] or along_i[1] or along_j[1])
+
+
 def a2_cusp_check(branch_form: MPoly, point) -> dict:
     """Jet test for an ordinary cusp of a ternary form of any degree at a
-    rational point p.  On the line p + t*v, the coefficient c_n(v) of t^n is
-    the degree-n jet at p evaluated at v (``polyring._on_line``).  With e_i,
-    e_j the unit vectors off the first nonzero coordinate of p, p is on the
-    curve when c_0 = 0 and singular when also c_1(e_i) = c_1(e_j) = 0.  Then
+    rational point p, on the jets c_n of ``_jets_at``.  At a singular p,
     p spans the kernel of every jet (Euler), so c_n on s*e_i + u*e_j is the
     whole germ, in no chart: an ordinary cusp when c_2 is a nonzero square
     and c_3 is nonzero at its root."""
@@ -100,23 +112,14 @@ def a2_cusp_check(branch_form: MPoly, point) -> dict:
         raise TripleCoverError("branch form must be a form in (x0, x1, x2)")
     if branch_form.is_zero():
         raise DegenerateCover("cusp check of the zero form")
-    point, p, _, others = _integer_frame(point)
-    e_i, e_j = ([int(m == n) for m in range(3)] for n in others)
-
-    def jets(v):
-        # Padded so that the jets above the degree of the form read 0.
-        return _on_line(branch_form, p, v) + [0, 0, 0]
-
-    along_i, along_j = jets(e_i), jets(e_j)
-    singular = not (along_i[0] or along_i[1] or along_j[1])
+    point, jets, along_i, along_j, singular = _jets_at(_integer_terms(branch_form), point)
     alpha, gamma = along_i[2], along_j[2]
-    beta = jets([a + b for a, b in zip(e_i, e_j)])[2] - alpha - gamma
+    beta = jets(1, 1)[2] - alpha - gamma
     # The root (s : u) of alpha*s^2 + beta*s*u + gamma*u^2 when it is a square.
     s, u = (beta, -2 * alpha) if alpha else (2 * gamma, -beta)
-    tangent = [s * a + u * b for a, b in zip(e_i, e_j)]
     return {"point": point, "on_curve": not along_i[0], "singular": singular,
             "is_cusp": bool(singular and (alpha or gamma)
-                            and beta * beta == 4 * alpha * gamma and jets(tangent)[3])}
+                            and beta * beta == 4 * alpha * gamma and jets(s, u)[3])}
 
 
 # ---------------------------------------------------------------------------
@@ -138,25 +141,15 @@ def _match_torus(cov: AffineCoverData) -> torus.TorusPair | None:
 
 
 def _match_flag(cov: AffineCoverData) -> etamap.TernaryCubic | None:
-    """Invert the eta formulas linearly and verify the match exactly."""
-    b, c = cov.b, cov.c
-    t1 = b.terms.get((3, 0), Fraction(0))
-    t2 = -b.terms.get((2, 0), Fraction(0)) / 3
-    t4 = b.terms.get((1, 0), Fraction(0)) / 3
-    t7 = -b.terms.get((0, 0), Fraction(0))
-    t3 = c.terms.get((0, 2), Fraction(0)) / 3
-    t6 = -c.terms.get((0, 1), Fraction(0)) / 3
-    t10 = c.terms.get((0, 0), Fraction(0))
-    t5 = -cov.a.terms.get((1, 0), Fraction(0))
-    t8 = cov.a.terms.get((0, 0), Fraction(0))
-    t9 = -cov.d.terms.get((0, 0), Fraction(0))
-    candidate = etamap.TernaryCubic((t1, t2, t3, t4, t5, t6, t7, t8, t9, t10))
-    if candidate.is_zero():
-        return None
-    data = etamap.eta(candidate)
-    if (data.a, data.b, data.c, data.d) == (cov.a, cov.b, cov.c, cov.d):
-        return candidate
-    return None
+    """Invert the eta formulas linearly, reading t1..t10 in turn off one
+    term of ``etamap.eta``'s tables each, and verify the match exactly."""
+    pivots = ((cov.b, (3, 0), 1), (cov.b, (2, 0), -3), (cov.c, (0, 2), 3),
+              (cov.b, (1, 0), 3), (cov.a, (1, 0), -1), (cov.c, (0, 1), -3),
+              (cov.b, (0, 0), -1), (cov.a, (0, 0), 1), (cov.d, (0, 0), -1),
+              (cov.c, (0, 0), 1))
+    candidate = etamap.TernaryCubic(tuple(p.terms.get(e, 0) / Fraction(k)
+                                          for p, e, k in pivots))
+    return candidate if not candidate.is_zero() and etamap.eta(candidate) == cov else None
 
 
 # ---------------------------------------------------------------------------
@@ -166,32 +159,35 @@ def _match_flag(cov: AffineCoverData) -> etamap.TernaryCubic | None:
 def _singular_points(f: etamap.TernaryCubic, form: MPoly | None):
     """The rational singular points of f, least first by ``_witness_key``,
     read off its branch sextic ``form`` (None when D_f = 0: then f = l^2 m
-    and the list holds one point of l).
+    and the list holds one point of l), on integer lists only.
 
-    With q = (a, b, 1) the first of ``PROJECTION_CENTERS`` off f, f on the
-    line (w0, w1, 0) + s*q is a cubic F(s) of degree 3 whose F' is the polar
-    sum q_i df/dv_i, and ``lift_directions`` reads F's one multiple root at
-    most off gcd(F, F').  With (1 : t) for the line through q and (1, t, 0),
-    B = form on (0, 1, -b) + t*(-1, 0, a) is the eliminant Res_s(F, F') =
-    +-f(q) disc F up to a nonzero constant, as disc F = -27 D_f at the line's
-    dual point; a singular point p puts (p . x)^2 into the sextic.  For
-    D_f = 0, the roots (1 : 0), (0 : 1) of w0*w1 lift to two points of l,
-    whose v2-coordinates r, r' give l . (v2 = 0) = (r' : -r : 0).
-    """
-    fp = f.as_poly()
-    gradient = [fp.partial_derivative(v) for v in V_VARS]
-    q = next(c for c in PROJECTION_CENTERS if fp.evaluate(dict(zip(V_VARS, c))))
-    polar = sum((c * d for c, d in zip(q, gradient)), MPoly.zero(V_VARS))
-    line = ([0, 1], 2) if form is None else (_on_line(form, (0, 1, -q[1]), (-1, 0, q[0])), 6)
-    lifted = lift_directions(fp, polar, *line, q)
+    With q = (a, b, 1) the first of ``PROJECTION_CENTERS`` off f (its 0-jet),
+    f on the line P + s*q, P = (w0, w1, 0), is a cubic F(s) of degree 3 whose
+    F' is the polar sum q_i df/dv_i(P + s*q), and ``lift_directions`` reads
+    F's one multiple root at most off gcd(F, F').  With (1 : t) for the line
+    through q and (1, t, 0), B = form on (0, 1, -b) + t*(-1, 0, a) is the
+    eliminant Res_s(F, F') = +-f(q) disc F up to a nonzero constant, as
+    disc F = -27 D_f at the line's dual point; a singular point p puts
+    (p . x)^2 into the sextic.  For D_f = 0, the roots (1 : 0), (0 : 1) of
+    w0*w1 lift to two points of l, whose v2-coordinates r, r' give
+    l . (v2 = 0) = (r' : -r : 0).  ``_jets_at`` checks grad f = 0 exactly."""
+    terms = _integer_terms(f.as_poly())
+    q = next(c for c in PROJECTION_CENTERS if _on_line(terms, c, (0, 0, 0))[0])
+
+    def on_line(P):
+        F = _on_line(terms, P, q)
+        return F, derivative(F)
+
+    line = ([0, 1], 2) if form is None else \
+        (_on_line(_integer_terms(form), (0, 1, -q[1]), (-1, 0, q[0])), 6)
+    lifted = lift_directions(on_line, *line, q)
     if lifted is None:
         raise LemmaViolation("a line through q holds two multiple points of f (internal bug)")
     points = [p for p, _ in lifted]
     if form is None:
         (_, _, r), (_, _, s) = points
         points = [(s, -r, 0) if r or s else (1, 0, 0)]
-    singular = [projective_point(p) for p in points
-                if not any(d.evaluate(dict(zip(V_VARS, p))) for d in gradient)]
+    singular = [point for point, *_, flag in (_jets_at(terms, p) for p in points) if flag]
     if form is None and not singular:
         raise LemmaViolation("D_f vanishes but f has no repeated line (internal bug)")
     return sorted(singular, key=_witness_key)
@@ -282,7 +278,8 @@ def _perfect_cube_fiber(f: etamap.TernaryCubic, point) -> bool:
     the first nonzero coordinate x_k and the two other indices n."""
     _, x, k, others = _integer_frame(point)
     span = [[x[k] * (m == n) - x[n] * (m == k) for m in range(3)] for n in others]
-    return etamap.is_perfect_cube(etamap.BinaryCubic(*_on_line(f.as_poly(), *span)))
+    fiber = _on_line(_integer_terms(f.as_poly()), *span)
+    return etamap.is_perfect_cube(etamap.BinaryCubic(*fiber))
 
 
 def _classify_torus(pair: torus.TorusPair) -> ClassificationReport:

@@ -104,19 +104,17 @@ class TotalBranchLocus:
 
 
 def eta(f: TernaryCubic) -> AffineCoverData:
-    """Cover data (a_f, b_f, c_f, d_f) of a ternary cubic."""
+    """Cover data (a_f, b_f, c_f, d_f) of a ternary cubic (Miranda, Amer. J.
+    Math. 107, 1985), linear in t1..t10: one term table in (u1, u2) each."""
     if f.is_zero():
         raise DegenerateCubic("eta of the zero cubic")
     t1, t2, t3, t4, t5, t6, t7, t8, t9, t10 = f.t
-    u1 = MPoly.variable(U_VARS, "u1")
-    u2 = MPoly.variable(U_VARS, "u2")
-    one = MPoly.constant(U_VARS, 1)
-    a = (-t1) * u1 ** 2 * u2 + (2 * t2) * u1 * u2 + t3 * u1 ** 2 \
-        + (-t4) * u2 + (-t5) * u1 + t8 * one
-    b = t1 * u1 ** 3 + (-3 * t2) * u1 ** 2 + (3 * t4) * u1 + (-t7) * one
-    c = (-t1) * u2 ** 3 + (3 * t3) * u2 ** 2 + (-3 * t6) * u2 + t10 * one
-    d = t1 * u1 * u2 ** 2 + (-t2) * u2 ** 2 + (-2 * t3) * u1 * u2 \
-        + t5 * u2 + t6 * u1 + (-t9) * one
+    a = MPoly(U_VARS, {(2, 1): -t1, (1, 1): 2 * t2, (2, 0): t3, (0, 1): -t4,
+                       (1, 0): -t5, (0, 0): t8})
+    b = MPoly(U_VARS, {(3, 0): t1, (2, 0): -3 * t2, (1, 0): 3 * t4, (0, 0): -t7})
+    c = MPoly(U_VARS, {(0, 3): -t1, (0, 2): 3 * t3, (0, 1): -3 * t6, (0, 0): t10})
+    d = MPoly(U_VARS, {(1, 2): t1, (0, 2): -t2, (1, 1): -2 * t3, (0, 1): t5,
+                       (1, 0): t6, (0, 0): -t9})
     return AffineCoverData(a, b, c, d)
 
 

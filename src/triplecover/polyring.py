@@ -10,9 +10,9 @@ The repeated-factor primitives ``repeated_part``, ``squarefree_part`` and
 on one line of ``SQUAREFREE_LINES``, exactly over the integers, and take the
 exact gradient gcd only when that test does not decide.  Both paths give the
 same values, so callers need not know which one ran.  Every certificate
-read along a line restricts a form with ``_on_line`` to integer coefficient
-lists: this line test, the direction lifts in ``univar`` and both cusp
-checks in ``classify``.  ``_gcd`` is the one univariate Euclid.
+read along a line restricts a form's ``_integer_terms`` with ``_on_line`` to
+integer coefficient lists: this line test, the direction lifts in ``univar``
+and the jet checks in ``classify``.  ``_gcd`` is the one univariate Euclid.
 """
 
 from __future__ import annotations
@@ -734,8 +734,9 @@ def squarefree_line(form: MPoly):
         raise TripleCoverError("squarefree_line needs a ternary form")
     if form.is_zero():
         raise DegenerateCover("squarefree line of zero")
+    terms = _integer_terms(form)
     for a, b in SQUAREFREE_LINES:
-        restricted = _on_line(form, (1, 0, a), (0, 1, b))
+        restricted = _on_line(terms, (1, 0, a), (0, 1, b))
         d = len(restricted) - 1
         while restricted and not restricted[-1]:
             restricted.pop()
@@ -748,19 +749,22 @@ def squarefree_line(form: MPoly):
     return None
 
 
-def _on_line(form: MPoly, P, Q):
-    """The primitive integer multiple of a nonzero ternary form of degree
-    d on the line P + t*Q, as its d + 1 ascending coefficients in t.  The
-    n-th is the degree-n jet at P evaluated at Q, so lines through one point
-    share one scale; integer P and Q give integers.  A coordinate that the
-    line fixes (Q[m] = 0) enters as a scalar, one that it moves as a
-    multiple of t (P[m] = 0) as a shift, and only the rest as polynomials.
-    """
-    d = sum(next(iter(form.terms)))
-    coeffs = _clear_denominators(form.terms.values())
+def _integer_terms(form: MPoly):
+    """The primitive integer multiple of a nonzero form, {exponents: int}."""
+    return dict(zip(form.terms, _clear_denominators(form.terms.values())))
+
+
+def _on_line(terms, P, Q):
+    """A nonzero ternary form of degree d, given by ``_integer_terms``, on the
+    line P + t*Q, as its d + 1 ascending coefficients in t: the n-th is the
+    degree-n jet at P evaluated at Q, an integer for integer P and Q.  A
+    coordinate that the line fixes (Q[m] = 0) enters as a scalar, one that it
+    moves as a multiple of t (P[m] = 0) as a shift, the rest as polynomials."""
+    d = sum(next(iter(terms)))
+    coeffs = list(terms.values())
     shifts = [0] * len(coeffs)
     rows = None  # per term, its product over the coordinates left as polynomials
-    for p, q, exps in zip(P, Q, zip(*form.terms)):
+    for p, q, exps in zip(P, Q, zip(*terms)):
         if p and q:
             powers = [[1]]  # powers[k]: (p + q*t)^k, ascending in t
             for _ in range(d):

@@ -10,8 +10,8 @@ benchmark reports it.
 Everything is exact: rational roots come from p-adic lifting and are checked
 by evaluation, with no floating point anywhere.  The squarefree part of an
 eliminant and the point on a direction both come from the one Euclid of the
-package, ``polyring._gcd``, on integer coefficient lists; a direction reads
-g and h through ``polyring._on_line``, never through ``MPoly``.
+package, ``polyring._gcd``, on integer coefficient lists; a direction is
+lifted from two such lists on its line (g and h, or F and F'), never ``MPoly``.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from fractions import Fraction
 
 from .errors import CommonComponent, IndeterminateCount, TripleCoverError
 from .polyring import (PROJECTION_CENTERS, MPoly, U_VARS, _clear_denominators,
-                       _gcd, _on_line, _pseudo_divmod, dehomogenize, linear_change,
-                       projective_point, resultant)
+                       _gcd, _integer_terms, _on_line, _pseudo_divmod, dehomogenize,
+                       linear_change, projective_point, resultant)
 
 
 def to_univariate(p: MPoly, var):
@@ -40,10 +40,11 @@ def to_univariate(p: MPoly, var):
 
 
 def eval_coeffs(coeffs, at: Fraction) -> Fraction:
-    acc = Fraction(0)
+    """sum c_i n^i q^(d - i) / q^d at n/q: integers up to the one division."""
+    acc, scale = 0, 1
     for c in reversed(coeffs):
-        acc = acc * at + c
-    return acc
+        acc, scale = acc * at.numerator + c * scale, scale * at.denominator
+    return Fraction(acc * at.denominator, scale)
 
 
 def derivative(coeffs):
@@ -134,7 +135,7 @@ def rational_roots(coeffs):
     of lead * r mod p^k is that integer itself.  Each candidate is checked
     exactly against the input, so no root is dropped and none invented.
     """
-    coeffs = [Fraction(c) for c in coeffs]
+    coeffs = list(coeffs)
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     if not coeffs:
@@ -192,23 +193,21 @@ def project(g: MPoly, h: MPoly, center):
     return m, g, h, resultant(dehomogenize(g, U_VARS), dehomogenize(h, U_VARS), "u2")
 
 
-def _lift_direction(g: MPoly, h: MPoly, P, Q):
-    """The r of the one common point P + r*Q of the ternary forms g = h = 0
-    on the line through the integer points P and Q, Q off both forms, or
-    None when the gcd G of g and h on that line, of degree d, is not a
-    multiple of (s - r)^d with r = -G[d - 1] / (d G[d])."""
-    common = _gcd(*(_on_line(form, P, Q) for form in (g, h)))
+def _lift_direction(g, h):
+    """The one common root r = -G[d - 1] / (d G[d]) of integer lists g, h with
+    nonzero leads, if their gcd G of degree d > 0 is a multiple of (s - r)^d; else None."""
+    common = _gcd(g, h)
     d = len(common) - 1
     r = Fraction(-common[d - 1], d * common[d]) if d else None
     return r if d and root_multiplicity(common, r) == d else None
 
 
-def lift_directions(g: MPoly, h: MPoly, coeffs, degree, center):
+def lift_directions(on_line, coeffs, degree, center):
     """(point, multiplicity) for each rational direction of a nonzero binary
     form of the given degree, with ascending coefficients on (1 : t): (q : n)
-    for a rational root n/q, and (0 : 1) for a shortfall in degree.  The
-    point is the one common point of g and h on the line through (w0 : w1 : 0)
-    and the integer center, off both; None when a direction holds several."""
+    for a rational root n/q, and (0 : 1) for a shortfall in degree.  The point
+    on P = (w0, w1, 0) is P + r*center, r the one common root of two curves on
+    P + s*center, as on_line(P) lists them; None when a direction holds several."""
     directions = [((t.denominator, t.numerator), root_multiplicity(coeffs, t))
                   for t in rational_roots(coeffs)]
     deficit = degree - max(i for i, c in enumerate(coeffs) if c)
@@ -216,7 +215,7 @@ def lift_directions(g: MPoly, h: MPoly, coeffs, degree, center):
         directions.append(((0, 1), deficit))
     points = []
     for (w0, w1), mult in directions:
-        r = _lift_direction(g, h, (w0, w1, 0), center)
+        r = _lift_direction(*on_line((w0, w1, 0)))
         if r is None:
             return None
         points.append((tuple(w + r * c for w, c in zip((w0, w1, 0), center)), mult))
@@ -229,7 +228,9 @@ def projected_points(projection):
     a rational direction holds more than one common point.  Each direction
     is lifted from the center (0 : 0 : 1), and M maps the point back."""
     m, g, h, elim = projection
-    points = lift_directions(g, h, to_univariate(elim, "u1"),
+    forms = [_integer_terms(g), _integer_terms(h)]
+    points = lift_directions(lambda P: [_on_line(f, P, (0, 0, 1)) for f in forms],
+                             to_univariate(elim, "u1"),
                              g.total_degree() * h.total_degree(), (0, 0, 1))
     if points is None:
         return None

@@ -484,9 +484,11 @@ WORKLOAD_WITNESSES = {
 
 def test_classify_singular_workload_cubics_work_count(monkeypatch):
     """Each classical singular cubic of the benchmark gets its witness off
-    the branch sextic on one line: D_f is built once, and no resultant,
-    subresultant, gcd, gradient gcd or ``common_points`` runs."""
-    invariants, work = [], []
+    the branch sextic on one line, on integer lists: D_f is built once, and
+    no resultant, subresultant, gcd, gradient gcd or ``common_points`` runs,
+    nor any ``MPoly`` evaluation or partial derivative.  ``eta`` writes out
+    its term tables with no ``MPoly`` product."""
+    invariants, work, in_eta = [], [], []
     for module in (cover, etamap):
         _counting(monkeypatch, module, "derived_invariants", invariants)
     for owner, name in ((polyring, "resultant"), (polyring, "_subresultants"),
@@ -497,14 +499,35 @@ def test_classify_singular_workload_cubics_work_count(monkeypatch):
             if getattr(module, name, None) is inner:
                 monkeypatch.setattr(module, name, lambda *args, name=name, inner=inner:
                                     work.append(name) or inner(*args))
+
+    def watched(name, inner):
+        def method(*args):
+            if in_eta or name in ("evaluate", "partial_derivative"):
+                work.append(name)
+            return inner(*args)
+        return method
+
+    for name in ("evaluate", "partial_derivative", "__mul__", "__rmul__"):
+        monkeypatch.setattr(MPoly, name, watched(name, getattr(MPoly, name)))
+    inner_eta = etamap.eta
+
+    def counting_eta(f):
+        in_eta.append(f)
+        try:
+            return inner_eta(f)
+        finally:
+            in_eta.pop()
+
+    monkeypatch.setattr(etamap, "eta", counting_eta)
     assert set(workloads.SINGULAR_CUBICS) == set(WORKLOAD_WITNESSES)
     for kind, terms in workloads.SINGULAR_CUBICS.items():
-        f = linear_change(MPoly(V_VARS, terms), _MOVE)
-        report = classify(CoverSpec.flag(TernaryCubic.from_poly(f)))
+        f = TernaryCubic.from_poly(linear_change(MPoly(V_VARS, terms), _MOVE))
+        work.clear()
+        report = classify(CoverSpec.flag(f))
         assert report.certificates["singular_point"] == WORKLOAD_WITNESSES[kind], kind
+        assert work == [], (kind, work)
     monkeypatch.undo()
     assert len(invariants) == len(WORKLOAD_WITNESSES)
-    assert work == []
 
 
 def _sextic(form):
@@ -567,7 +590,7 @@ def test_singular_points_planted_and_moved(kind):
             scale = math.lcm(*(c.denominator for c in got[0]))
             cusp = [int(c * scale) for c in got[0]]
             assert moved.evaluate(origin)
-            assert polyring._on_line(moved, cusp, (0, 0, 1))[:3] == [0, 0, 0]
+            assert polyring._on_line(polyring._integer_terms(moved), cusp, (0, 0, 1))[:3] == [0, 0, 0]
 
 
 def test_singular_points_of_a_double_line():
@@ -591,7 +614,7 @@ def test_singular_points_of_a_double_line():
 def test_singular_points_raise_when_a_direction_does_not_lift(monkeypatch):
     """A direction that does not lift is an internal bug, not a dropped
     point, with D_f != 0 and with D_f = 0."""
-    monkeypatch.setattr(univar, "_lift_direction", lambda *args: None)
+    monkeypatch.setattr(univar, "_lift_direction", lambda g, h: None)
     for form in (v0 * v1 * v2, v0 ** 2 * v1 + v0 ** 2 * v2):
         with pytest.raises(LemmaViolation):
             classify_mod._singular_points(TernaryCubic.from_poly(form), _sextic(form))

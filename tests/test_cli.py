@@ -247,6 +247,20 @@ def test_classify_double_line_witness(capsys):
     assert all(not f.partial_derivative(v).evaluate(at) for v in V_VARS)
 
 
+def test_classify_rational_flag_cubic_json_pinned(capsys):
+    """A flag cubic with non-integer rational coefficients: the witness
+    reads f's primitive integer multiple, and the report is the same."""
+    code, out, err = invoke(capsys, "classify", "--flag-cubic",
+                            "1/2*v1^2*v2 - 1/3*v0^3 - 1/3*v0^2*v2", "--format", "json")
+    assert (code, err) == (1, "")
+    assert out == (
+        '{\n  "S": null,\n  "T": null,\n  "branch": null,\n  "case": "NotNormal",\n'
+        '  "conditions": null,\n  "lambda": null,\n'
+        '  "notes": [\n    "dual cubic is singular at (0 : 0 : 1)"\n  ],\n'
+        '  "total_branch": {\n    "count": 0,\n    "rational_points": []\n  },\n'
+        '  "violations": []\n}\n')
+
+
 def test_json_output_deterministic(capsys):
     _, out1, _ = invoke(capsys, "classify", "--flag-cubic", FERMAT,
                         "--format", "json")

@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from triplecover.etamap import BinaryCubic, binary_cubic_discriminant
-from triplecover.polyring import MPoly
+from triplecover.cover import AffineCoverData, derived_invariants
+from triplecover.etamap import (_MONOMIALS, BinaryCubic, TernaryCubic, binary_cubic_discriminant,
+                                eta, fiber_binary_cubic)
+from triplecover.polyring import V_VARS, MPoly
 
 PQRS = ("p", "q", "r", "s")
 GENERIC = BinaryCubic(*(MPoly.variable(PQRS, v) for v in PQRS))
@@ -39,3 +41,58 @@ def test_cubic_discriminant_against_sympy():
                         p, q, r, s)
     mine = binary_cubic_discriminant(GENERIC).terms
     assert {e: Fraction(int(c)) for e, c in oracle.terms()} == mine
+
+
+# The cover data as one binary cubic, phi = (b, -3a, 3d, -c).
+ABCD = ("a", "b", "c", "d")
+
+
+def _phi(cov):
+    return BinaryCubic(cov.b, -3 * cov.a, 3 * cov.d, -cov.c)
+
+
+@pytest.mark.parametrize("index", range(10))
+def test_eta_as_a_binary_cubic_is_minus_the_fiber(index):
+    """phi(eta(f)) = -fiber_binary_cubic(f): both sides are linear in the ten
+    coefficients of f, so the ten monomial cubics prove it.  The fiber is f
+    substituted on the dual line of (1 : u1 : u2), a route that does not go
+    through ``eta``'s term table."""
+    f = TernaryCubic(tuple(int(i == index) for i in range(10)))
+    fiber = fiber_binary_cubic(f)
+    assert _phi(eta(f)).entries() == tuple(-e for e in fiber.entries())
+
+
+def test_discriminant_of_phi_is_minus_27_D():
+    """disc(b x^3 - 3a x^2 + 3d x - c) = -27 (B^2 - 4AC) in Z[a, b, c, d],
+    with A = a^2 - bd, B = ad - bc, C = d^2 - ac as ``derived_invariants``
+    builds them: with the fact above, delta_f = -27 D_f for every f."""
+    cov = AffineCoverData(*(MPoly.variable(ABCD, v) for v in ABCD))
+    disc = binary_cubic_discriminant(_phi(cov))
+    assert disc == -27 * derived_invariants(cov).D
+    assert all(c.denominator == 1 for c in disc.terms.values())
+    sympy = pytest.importorskip("sympy")
+    a, b, c, d, x = sympy.symbols("a b c d x")
+    oracle = sympy.Poly(sympy.discriminant(b * x ** 3 - 3 * a * x ** 2 + 3 * d * x - c, x),
+                        a, b, c, d)
+    assert {e: Fraction(int(k)) for e, k in oracle.terms()} == disc.terms
+    A, B, C = a * a - b * d, a * d - b * c, d * d - a * c
+    assert sympy.expand(oracle.as_expr() + 27 * (B ** 2 - 4 * A * C)) == 0
+
+
+def test_derivative_along_a_line_is_the_polar():
+    """d/ds f(P + s Q) = sum Q_i (df/dv_i)(P + s Q) for a generic cubic f and
+    generic P, Q: on the line P + s q, the derivative F' of F = f(P + s q)
+    is the polar of f at q, the pair the singular-point witness lifts with."""
+    coeffs = tuple("t%d" % n for n in range(1, 11))
+    points = ("p0", "p1", "p2", "q0", "q1", "q2", "s")
+    ring = coeffs + points
+    var = {v: MPoly.variable(ring, v) for v in ring}
+    # f = sum t_n m_n over the ten cubic monomials m_n of (v0, v1, v2).
+    f = MPoly(coeffs + V_VARS, {tuple(int(k == n) for k in range(10)) + exps: 1
+                                for n, (exps, _) in enumerate(_MONOMIALS)})
+    line = {c: var[c] for c in coeffs}
+    line.update({v: var["p%d" % i] + var["s"] * var["q%d" % i] for i, v in enumerate(V_VARS)})
+    polar = sum((var["q%d" % i] * f.partial_derivative(v).substitute(line, ring)
+                 for i, v in enumerate(V_VARS)), MPoly.zero(ring))
+    assert f.substitute(line, ring).partial_derivative("s") == polar
+    assert not polar.is_zero()

@@ -28,6 +28,8 @@ from triplecover.polyring import (  # noqa: E402
     V_VARS,
     X4_VARS,
     X_VARS,
+    _integer_terms,
+    _on_line,
     gcd,
     homogenize,
     linear_change,
@@ -284,21 +286,30 @@ def _random_singular_cubic(rng, kind):
 
 def test_singular_points_match_sympy():
     """The rational singular points that the projection keeps are exactly
-    sympy's, and the witness is the least of them, or None."""
-    rng = random.Random(105)
+    sympy's, and the witness is the least of them, or None.  Each cubic is
+    checked again in a random rational frame, where its coefficients are
+    not all integers."""
+    rng, frames = random.Random(105), random.Random(108)
     checked = 0
     while checked < 40:
         p = _random_singular_cubic(rng, checked % 4)
         if p.is_zero() or p.total_degree() != 3 \
                 or any(m > 1 for _, m in sympy.sqf_list(to_sympy(p))[1]):
             continue
-        expected = singular_points_oracle(p)
-        got = _singular_points(TernaryCubic.from_poly(p), _sextic(p))
-        assert set(got) == expected and len(got) == len(expected)
-        assert got == sorted(expected, key=_witness_key)
-        report = classify(CoverSpec.flag(TernaryCubic.from_poly(p)))
-        assert report.certificates.get("singular_point") == \
-            min(expected, key=_witness_key, default=None)
+        # Lower triangular with a nonzero diagonal, so invertible.
+        frame = [[Fraction(frames.randint(1, 3), frames.randint(2, 5)) if j == i
+                  else Fraction(frames.randint(-2, 2), frames.randint(1, 3)) if j < i else 0
+                  for j in range(3)] for i in range(3)]
+        rational = linear_change(p, frame)
+        assert any(c.denominator > 1 for c in TernaryCubic.from_poly(rational).t)
+        for form in (p, rational):
+            expected = singular_points_oracle(form)
+            got = _singular_points(TernaryCubic.from_poly(form), _sextic(form))
+            assert set(got) == expected and len(got) == len(expected)
+            assert got == sorted(expected, key=_witness_key)
+            report = classify(CoverSpec.flag(TernaryCubic.from_poly(form)))
+            assert report.certificates.get("singular_point") == \
+                min(expected, key=_witness_key, default=None)
         checked += 1
 
 
@@ -542,7 +553,8 @@ def test_lift_direction_matches_sympy(kind):
             continue  # (0 : 0 : 1) lies on a form
         common = sympy.sqf_part(sympy.gcd(*on_line))
         want = -common.all_coeffs()[1] / common.LC() if common.degree() == 1 else None
-        got = univar._lift_direction(*forms, (w0, w1, 0), (0, 0, 1))
+        got = univar._lift_direction(*(_on_line(_integer_terms(f), (w0, w1, 0), (0, 0, 1))
+                                       for f in forms))
         assert got == want
         if kind in ("transversal", "tangent"):
             assert got == r1

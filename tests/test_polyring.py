@@ -301,11 +301,12 @@ def test_on_line_is_the_substituted_form():
     t = MPoly.variable(T_VARS, "t")
     for _ in range(60):
         form = random_form(rng, rng.randint(0, 6))
+        terms = polyring._integer_terms(form)
         scales = set()
         for _ in range(3):
             P, Q = ([Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
                      for _ in range(3)] for _ in range(2))
-            restricted = polyring._on_line(form, P, Q)
+            restricted = polyring._on_line(terms, P, Q)
             expected = form.substitute(
                 {v: p + q * t for v, p, q in zip(X_VARS, P, Q)}, T_VARS)
             values = [expected.terms.get((n,), 0) for n in range(len(restricted))]
@@ -319,7 +320,7 @@ def test_on_line_is_the_substituted_form():
             assert restricted == [scale * c for c in values]
             scales.add(scale)
         assert len(scales) <= 1
-        integer = polyring._on_line(form, (1, -2, 0), (3, 0, 1))
+        integer = polyring._on_line(terms, (1, -2, 0), (3, 0, 1))
         assert all(isinstance(c, int) for c in integer)
 
 

@@ -182,12 +182,18 @@ def test_rational_roots_modular_certificate(monkeypatch, roots, scale):
 def test_lift_direction():
     x0, x1, x2 = (MPoly.variable(X_VARS, v) for v in X_VARS)
     g = x2 ** 2 - x0 * x1
+
+    def lift(h):
+        return univar._lift_direction(*(polyring._on_line(polyring._integer_terms(form),
+                                                          (1, 4, 0), (0, 0, 1))
+                                        for form in (g, h)))
+
     # On the line (1 : 4 : w2) the conic g meets x2 - x1/2 only at w2 = 2.
-    assert univar._lift_direction(g, 2 * x2 - x1, (1, 4, 0), (0, 0, 1)) == 2
+    assert lift(2 * x2 - x1) == 2
     # x2 = +-2 both lie on g and on x2^2 - 4 x0^2: two points, no lift.
-    assert univar._lift_direction(g, x2 ** 2 - 4 * x0 ** 2, (1, 4, 0), (0, 0, 1)) is None
+    assert lift(x2 ** 2 - 4 * x0 ** 2) is None
     # No common point on the line.
-    assert univar._lift_direction(g, x2 - x0, (1, 4, 0), (0, 0, 1)) is None
+    assert lift(x2 - x0) is None
 
 
 def test_classify_without_mpmath():
