@@ -5,6 +5,11 @@ A = a^2 - b*d, B = a*d - b*c, C = d^2 - a*c and the branch polynomial
 D = B^2 - 4*A*C, the multiplication table of the cover algebra, the
 resolvent cubics, restrictions to lines and the connectivity / total-branch
 probes used by the classifier.
+
+The algebra is that of the binary cubic phi = (b, -3a, 3d, -c), with Hessian
+covariant (-9A, 9B, -9C).  The point probe reads phi(p): total exactly when it
+is a nonzero perfect cube (A = B = C = 0), degenerate when it is zero.  The
+resolvent cubics serve only the connectivity probe.
 """
 
 from __future__ import annotations
@@ -74,7 +79,6 @@ class BranchDecomposition:
 
 @dataclass(frozen=True)
 class LineRestriction:
-    parametrization: tuple  # (u1(t), u2(t)) as MPoly in (t,)
     aL: MPoly
     bL: MPoly
     cL: MPoly
@@ -107,8 +111,6 @@ class ConnectivityVerdict:
 @dataclass(frozen=True)
 class TotalBranchVerdict:
     status: str  # "total" | "not_total" | "degenerate"
-    z_cubic: tuple | None = None  # (quad, const) specializations
-    w_cubic: tuple | None = None
 
 
 def derived_invariants(cov: AffineCoverData) -> DerivedInvariants:
@@ -201,7 +203,6 @@ def restrict_to_line(cov: AffineCoverData, line) -> LineRestriction:
         raise TripleCoverError("line parametrization is constant")
     assignment = {"u1": p1, "u2": p2}
     return LineRestriction(
-        (p1, p2),
         cov.a.substitute(assignment, T_VARS),
         cov.b.substitute(assignment, T_VARS),
         cov.c.substitute(assignment, T_VARS),
@@ -286,20 +287,12 @@ def is_line_cover_connected(lr: LineRestriction) -> ConnectivityVerdict:
 
 
 def is_total_branch_point(cov: AffineCoverData, point) -> TotalBranchVerdict:
-    """Probe whether a chart point is a total branch point.
-
-    The point is total exactly when both resolvent cubics specialize to
-    pure cubes y^3; it is degenerate when the cover data itself vanishes at
-    the point (the fiber equations collapse there).
-    """
-    u1, u2 = point
-    at = {"u1": Fraction(u1), "u2": Fraction(u2)}
-    values = [p.evaluate(at) for p in (cov.a, cov.b, cov.c, cov.d)]
-    z_res = resolvent_cubic(cov, "z")
-    w_res = resolvent_cubic(cov, "w")
-    z_spec = (z_res.quad.evaluate(at), z_res.const.evaluate(at))
-    w_spec = (w_res.quad.evaluate(at), w_res.const.evaluate(at))
-    if not any(values):
-        return TotalBranchVerdict("degenerate", z_spec, w_spec)
-    total = not any(z_spec) and not any(w_spec)
-    return TotalBranchVerdict("total" if total else "not_total", z_spec, w_spec)
+    """Probe whether a chart point is a total branch point: a, b, c, d not
+    all zero there and A = B = C = 0.  It is degenerate when the data
+    vanishes at the point (the fiber equations collapse there)."""
+    at = {"u1": Fraction(point[0]), "u2": Fraction(point[1])}
+    a, b, c, d = (p.evaluate(at) for p in (cov.a, cov.b, cov.c, cov.d))
+    if not (a or b or c or d):
+        return TotalBranchVerdict("degenerate")
+    total = a * a == b * d and a * d == b * c and d * d == a * c
+    return TotalBranchVerdict("total" if total else "not_total")

@@ -100,7 +100,6 @@ class DiscrimCertificate:
 class TotalBranchLocus:
     count: int
     rational_points: tuple  # projective points as (x0, x1, x2) Fractions
-    certificate: dict
 
 
 def eta(f: TernaryCubic) -> AffineCoverData:
@@ -246,10 +245,10 @@ def _flex_locus(f: TernaryCubic) -> TotalBranchLocus:
     rational flex once.
     """
     fp = f.as_poly()
-    center, _, elim, flexes = common_points(fp, _hessian(fp))
+    *_, flexes = common_points(fp, _hessian(fp))
     gradient = [fp.partial_derivative(v) for v in V_VARS]
     cusps = [projective_point(d.evaluate(dict(zip(V_VARS, flex))) for d in gradient)
              for flex, _ in flexes]
     # Chart order: the points (1, a, b) by (a, b), then (0, 1, c), (0, 0, 1).
     cusps.sort(key=lambda p: (p.index(1), p))
-    return TotalBranchLocus(9, tuple(cusps), {"center": center, "eliminant": elim})
+    return TotalBranchLocus(9, tuple(cusps))

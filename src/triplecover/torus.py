@@ -15,7 +15,6 @@ from .polyring import (
     dehomogenize,
     exact_divide,
     gcd,
-    homogenize,
     radical_divides,
     repeated_part,
     resultant,
@@ -174,7 +173,6 @@ def check_conditions(pair: TorusPair, delta: MPoly | None = None) -> ConditionRe
 class IntersectionLocus:
     count_with_multiplicity: int
     rational_points: tuple  # ((x0, x1, x2), multiplicity)
-    eliminants: dict
 
 
 def total_branch_points(pair: TorusPair) -> IntersectionLocus:
@@ -190,11 +188,7 @@ def total_branch_points(pair: TorusPair) -> IntersectionLocus:
     if pair.G2.is_zero() or pair.G3.is_zero():
         raise CommonComponent("a zero form has no finite intersection")
     try:
-        _, m, elim, points = common_points(pair.G2, pair.G3)
+        *_, points = common_points(pair.G2, pair.G3)
     except CommonComponent:
         raise CommonComponent("G2 and G3 share a component") from None
-    return IntersectionLocus(
-        count_with_multiplicity=6,
-        rational_points=tuple(sorted(points)),
-        eliminants={"resultant_x2": homogenize(elim, 6, X_VARS), "matrix": m},
-    )
+    return IntersectionLocus(6, tuple(sorted(points)))

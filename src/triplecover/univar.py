@@ -4,8 +4,9 @@ univariate eliminant.  ``common_points`` holds the one center policy of the
 two loci that need an eliminant: the flexes of a cubic and G2 = G3 = 0.
 The singular points of a cubic need none; their directions are the roots
 of its branch sextic on a line, and ``lift_directions`` lifts them too.
-``interpolate`` has no caller in the package; it is kept only because the
-benchmark reports it.
+``interpolate`` has no caller in the package; it stays because
+``tests/test_bench.py`` requires every name in the benchmark's ``REPORTED``
+to exist.
 
 Everything is exact: rational roots come from p-adic lifting and are checked
 by evaluation, with no floating point anywhere.  The squarefree part of an

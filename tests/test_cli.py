@@ -19,6 +19,7 @@ DOUBLE_LINE = "v0^2*v1+v0^2*v2"
 SINGULAR_NOTE = re.compile(r"singular at \((.+) : (.+) : (.+)\)")
 FERMAT_BRANCH = "(x0^3-x1^3-x2^3)^2-4*x1^3*x2^3"
 RAW_TORUS = ("--a", "0", "--b", "1", "--c=-2*(u2^3-1)", "--d", "u1")
+DEGENERATE_AT_ORIGIN = ("--a", "u1", "--b", "u1*u2", "--c", "u1^2", "--d", "u1+u2")
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -261,6 +262,18 @@ def test_classify_rational_flag_cubic_json_pinned(capsys):
         '  "violations": []\n}\n')
 
 
+def test_total_branch_point_degenerate_json_pinned(capsys):
+    code, out, err = invoke(capsys, "total-branch", *DEGENERATE_AT_ORIGIN,
+                            "--point", "0,0", "--format", "json")
+    assert (code, err) == (4, "")
+    assert out == (
+        '{\n  "S": null,\n  "T": null,\n  "branch": null,\n  "case": null,\n'
+        '  "conditions": null,\n  "lambda": null,\n  "notes": [],\n'
+        '  "status": "degenerate",\n'
+        '  "total_branch": {\n    "count": 0,\n    "rational_points": []\n  },\n'
+        '  "violations": []\n}\n')
+
+
 def test_json_output_deterministic(capsys):
     _, out1, _ = invoke(capsys, "classify", "--flag-cubic", FERMAT,
                         "--format", "json")
@@ -330,6 +343,14 @@ PINNED_TEXT = {
     "total-branch-point": (
         ("total-branch",) + RAW_TORUS + ("--point", "0,1"), 0,
         "point status: total\n",
+    ),
+    "total-branch-point-not-total": (
+        ("total-branch",) + RAW_TORUS + ("--point", "1,1"), 1,
+        "point status: not_total\n",
+    ),
+    "total-branch-point-degenerate": (
+        ("total-branch",) + DEGENERATE_AT_ORIGIN + ("--point", "0,0"), 4,
+        "point status: degenerate\n",
     ),
     "classify-torus": (
         ("classify", "--g2", "x0*x1", "--g3", "x0^2*x2"), 1,

@@ -1,7 +1,9 @@
 """Tests for the chart cover calculus: invariants, resolvents, lines."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -316,3 +318,63 @@ def test_total_branch_point_degenerate():
     cov = AffineCoverData(u1, u1 * u2, u1 ** 2, u1 + u2)
     verdict = is_total_branch_point(cov, (0, 0))
     assert verdict.status == "degenerate"
+
+
+def _resolvent_rule(cov, at):
+    """The rule read off the resolvent cubics: degenerate when a, b, c, d
+    vanish at the point, total when both cubics specialize to y^3 there."""
+    if not any(p.evaluate(at) for p in (cov.a, cov.b, cov.c, cov.d)):
+        return "degenerate"
+    specs = [p.evaluate(at) for res in (resolvent_cubic(cov, "z"), resolvent_cubic(cov, "w"))
+             for p in (res.quad, res.const)]
+    return "not_total" if any(specs) else "total"
+
+
+def test_total_branch_point_matches_the_resolvent_rule():
+    """The probe reads A = B = C = 0 off a, b, c, d at the point and agrees
+    with the resolvent rule on random data and points, on planted total
+    points of torus data (0, 1, -2 G3', G2') and on planted degenerate
+    points, where all four forms pass through the point."""
+    rng = random.Random(26)
+
+    def through(poly, at):
+        return poly - poly.evaluate(at)
+
+    statuses = set()
+    for kind in ("random", "torus", "degenerate") * 100:
+        point = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in "uv")
+        at = {"u1": point[0], "u2": point[1]}
+        cov = random_cover(rng)
+        if kind == "torus":
+            cov = AffineCoverData(zero, one, -2 * through(cov.c, at), through(cov.d, at))
+        elif kind == "degenerate":
+            cov = AffineCoverData(*(through(p, at) for p in (cov.a, cov.b, cov.c, cov.d)))
+        status = is_total_branch_point(cov, point).status
+        assert status == _resolvent_rule(cov, at), (kind, cov, point)
+        statuses.add(status)
+    assert statuses == {"total", "not_total", "degenerate"}
+
+
+def _callers(name):
+    """(module, innermost enclosing function) of each call of ``name`` in the
+    package, with None for a call at module level."""
+    found = set()
+
+    def visit(node, module, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call) and \
+                getattr(node.func, "id", getattr(node.func, "attr", None)) == name:
+            found.add((module, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, owner)
+
+    for path in Path(polyring.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    return found
+
+
+def test_only_the_connectivity_probe_builds_resolvents():
+    """The resolvent cubics serve the connectivity probe alone; the point
+    probe reads the data at the point."""
+    assert _callers("resolvent_cubic") == {("cover", "is_line_cover_connected")}

@@ -8,7 +8,7 @@ import pytest
 
 from triplecover.cover import AffineCoverData, derived_invariants
 from triplecover.etamap import (_MONOMIALS, BinaryCubic, TernaryCubic, binary_cubic_discriminant,
-                                eta, fiber_binary_cubic)
+                                eta, fiber_binary_cubic, hessian_covariant)
 from triplecover.polyring import V_VARS, MPoly
 
 PQRS = ("p", "q", "r", "s")
@@ -77,6 +77,22 @@ def test_discriminant_of_phi_is_minus_27_D():
     assert {e: Fraction(int(k)) for e, k in oracle.terms()} == disc.terms
     A, B, C = a * a - b * d, a * d - b * c, d * d - a * c
     assert sympy.expand(oracle.as_expr() + 27 * (B ** 2 - 4 * A * C)) == 0
+
+
+def test_hessian_of_phi_is_the_derived_invariants():
+    """Hess(phi) = (-9A, 9B, -9C) in Z[a, b, c, d]: phi is a nonzero perfect
+    cube exactly when A = B = C = 0 with a, b, c, d not all zero, the rule
+    ``is_total_branch_point`` reads at a point.  The oracle is the Hessian
+    determinant of phi, -36 (A x^2 - B x y + C y^2)."""
+    cov = AffineCoverData(*(MPoly.variable(ABCD, v) for v in ABCD))
+    inv = derived_invariants(cov)
+    assert hessian_covariant(_phi(cov)) == (-9 * inv.A, 9 * inv.B, -9 * inv.C)
+    sympy = pytest.importorskip("sympy")
+    a, b, c, d, x, y = sympy.symbols("a b c d x y")
+    phi = b * x ** 3 - 3 * a * x ** 2 * y + 3 * d * x * y ** 2 - c * y ** 3
+    A, B, C = a * a - b * d, a * d - b * c, d * d - a * c
+    hess = sympy.hessian(phi, (x, y)).det()
+    assert sympy.expand(hess + 36 * (A * x ** 2 - B * x * y + C * y ** 2)) == 0
 
 
 def test_derivative_along_a_line_is_the_polar():

@@ -429,7 +429,7 @@ def test_polynomial_root_search_matches_sympy():
             continue
         roots = polynomial_roots_oracle(quad, const)
         verdict = is_line_cover_connected(
-            LineRestriction((t, zero), zero, one, -const, quad / 3))
+            LineRestriction(zero, one, -const, quad / 3))
         if not roots:
             assert (verdict.status, verdict.witness_root) == ("connected", None)
             continue
