@@ -4,11 +4,15 @@ The eta map sends a cubic form f in (v0, v1, v2) to chart cover data
 (a_f, b_f, c_f, d_f).  The binary cubic obtained by restricting f to the
 pencil of lines through a chart point has a discriminant delta_f that is
 proportional to the branch polynomial D_f; the proportionality constant is
--27 under the conventions fixed here.
+-27 under the conventions fixed here.  delta_f is read off f's terms, not
+off eta: the fiber entries by a binomial expansion, and the discriminant on
+integer term tables, so ``verify_discrim_lemma`` checks the identity
+between two independent routes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,9 +27,10 @@ from .errors import (
 from .polyring import (
     MPoly,
     U_VARS,
-    UV_VARS,
     V_VARS,
     X_VARS,
+    _IntTerms,
+    _integer_terms,
     homogenize,
     projective_point,
     repeated_part,
@@ -77,8 +82,9 @@ class TernaryCubic:
 @dataclass(frozen=True)
 class BinaryCubic:
     """p*v1^3 + q*v1^2*v2 + r*v1*v2^2 + s*v2^3.  The entries are MPoly in
-    (u1, u2) from ``fiber_binary_cubic``, or the integers of
-    ``classify._perfect_cube_fiber`` on one dual line."""
+    (u1, u2) from ``fiber_binary_cubic``, the integers of
+    ``classify._perfect_cube_fiber`` on one dual line, or, inside
+    ``delta_f``, integer term tables ``polyring._IntTerms`` in (u1, u2)."""
 
     p: MPoly
     q: MPoly
@@ -119,34 +125,57 @@ def eta(f: TernaryCubic) -> AffineCoverData:
 
 def fiber_binary_cubic(f: TernaryCubic) -> BinaryCubic:
     """Restriction of f to the dual line of the chart point (1 : u1 : u2),
-    v0 = -u1*v1 - u2*v2, with entries in (u1, u2).  The fiber at one
-    rational point is ``classify._perfect_cube_fiber``'s, in no chart."""
-    u1, u2, v1, v2 = (MPoly.variable(UV_VARS, v) for v in UV_VARS)
-    restricted = f.as_poly().substitute(
-        {"v0": -u1 * v1 - u2 * v2, "v1": v1, "v2": v2}, UV_VARS)
-    # Homogeneous of degree 3 in (v1, v2), so the power of v1 fixes that of v2.
-    buckets = restricted.coefficients_in("v1")
-    return BinaryCubic(*[
-        MPoly(U_VARS, {e[:2]: c for e, c in buckets[k].terms.items()})
-        if k in buckets else MPoly.zero(U_VARS)
-        for k in (3, 2, 1, 0)
-    ])
+    v0 = -u1*v1 - u2*v2, with entries in (u1, u2), read off f's terms by
+    ``_fiber_terms``.  The fiber at one rational point is
+    ``classify._perfect_cube_fiber``'s, in no chart."""
+    return BinaryCubic(*(MPoly(U_VARS, entry) for entry in _fiber_terms(f.as_poly().terms)))
+
+
+def _fiber_terms(terms):
+    """The entries (p, q, r, s) of the fiber cubic as term tables in (u1, u2),
+    from the term table of f, exact for any coefficients.  Expanding
+    v0^a = (-u1*v1 - u2*v2)^a, the term c*v0^a*v1^b*v2^e gives
+    (-1)^a * C(a, i) * c * u1^i * u2^(a-i) to the entry of
+    v1^(b+i) * v2^(e+a-i).  The entry and (i, a - i) fix a, b, e, so no two
+    terms meet and none cancels."""
+    entries = ({}, {}, {}, {})  # by the power of v2
+    for (a, b, e), c in terms.items():
+        for i in range(a + 1):
+            entries[e + a - i][i, a - i] = (-1) ** a * math.comb(a, i) * c
+    return entries
 
 
 def binary_cubic_discriminant(bc: BinaryCubic) -> MPoly:
     """18pqrs - 4q^3 s + q^2 r^2 - 4p r^3 - 27 p^2 s^2, read off the Hessian
-    covariant (h0, h1, h2) as (4*h0*h2 - h1^2) / 3: the classical identity
-    disc F = -disc(Hess F) / 3 in Z[p, q, r, s], at eight products of
-    entries."""
+    covariant as ``_hessian_discriminant(bc) / 3``.  The entries are MPoly
+    or numbers."""
+    return _hessian_discriminant(bc) / Fraction(3)
+
+
+def _hessian_discriminant(bc: BinaryCubic):
+    """4*h0*h2 - h1^2 of the Hessian covariant (h0, h1, h2), that is
+    -disc(Hess F) = 3 disc F: the classical identity in Z[p, q, r, s], at
+    eight products of entries.  Written in ring operations alone, so that it
+    runs on MPoly, numbers and ``_IntTerms``."""
     h0, h1, h2 = hessian_covariant(bc)
-    return (4 * h0 * h2 - h1 * h1) / Fraction(3)
+    return 4 * h0 * h2 - h1 * h1
 
 
 def delta_f(f: TernaryCubic) -> MPoly:
-    """Discriminant of the symbolic fiber cubic; chart dual-sextic equation."""
+    """Discriminant of the symbolic fiber cubic; chart dual-sextic equation.
+
+    It is computed on the primitive integer multiple k*f of f: its fiber
+    entries are k times f's, so ``_hessian_discriminant`` of them, on
+    integer term tables, is 3*k^4 * delta_f."""
     if f.is_zero():
         raise DegenerateCubic("delta of the zero cubic")
-    return binary_cubic_discriminant(fiber_binary_cubic(f))
+    poly = f.as_poly()
+    terms = _integer_terms(poly)
+    exps = next(iter(terms))
+    k = terms[exps] / poly.terms[exps]
+    disc = _hessian_discriminant(BinaryCubic(*map(_IntTerms, _fiber_terms(terms))))
+    factor = 1 / (3 * k ** 4)
+    return MPoly(U_VARS, {e: c * factor for e, c in disc.items()})
 
 
 def verify_discrim_lemma(f: TernaryCubic, D: MPoly | None = None) -> DiscrimCertificate:

@@ -368,6 +368,16 @@ def test_text_output_pinned(capsys, name):
     assert invoke(capsys, *argv) == (expected_code, expected_out, "")
 
 
+# delta, dual and verify-discrim on the Fermat cubic and on one with
+# non-integral coefficients, in text and json.
+DELTA_PINS = json.loads((Path(__file__).parent / "cli_delta_pins.json").read_text())
+
+
+@pytest.mark.parametrize("pin", DELTA_PINS, ids=[pin["name"] for pin in DELTA_PINS])
+def test_delta_output_pinned(capsys, pin):
+    assert invoke(capsys, *pin["argv"]) == (pin["code"], pin["stdout"], "")
+
+
 def _long_options(parser):
     options = set()
     for action in parser._actions:
