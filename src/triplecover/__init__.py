@@ -92,9 +92,6 @@ from .torus import (
     TorusPair,
     build_cover,
     check_conditions,
-    condition1,
-    condition2,
-    condition3,
     cubic_surface_form,
     total_branch_points,
 )

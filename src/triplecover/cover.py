@@ -17,11 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateCover, MultiplicityTooHigh, TripleCoverError
+from .errors import (DegenerateCover, MultiplicityTooHigh, TripleCoverError,
+                     VariableMismatchError)
 from .polyparse import print_poly
 from .polyring import (
     MPoly,
     T_VARS,
+    U_VARS,
     UZW_VARS,
     X_VARS,
     exact_divide,
@@ -97,8 +99,8 @@ class ResolventCubic:
         """The cubic as a polynomial in the data's variables and (z, w)."""
         vars = self.quad.vars + ("z", "w")
         y = MPoly.variable(vars, self.coordinate)
-        ident = {v: MPoly.variable(vars, v) for v in self.quad.vars}
-        quad, const = (p.substitute(ident, vars) for p in (self.quad, self.const))
+        quad, const = (MPoly(vars, {e + (0, 0): c for e, c in p.terms.items()})
+                       for p in (self.quad, self.const))
         return y ** 3 + quad * y + const
 
 
@@ -124,11 +126,12 @@ def derived_invariants(cov: AffineCoverData) -> DerivedInvariants:
 
 def multiplication_table(cov: AffineCoverData):
     """phi(z^2), phi(z*w), phi(w^2) as polynomials in (u1, u2, z, w)."""
+    if cov.a.vars != U_VARS:
+        raise VariableMismatchError("cover data must live in (u1, u2)")
     inv = derived_invariants(cov)
-    ident = {v: MPoly.variable(UZW_VARS, v) for v in cov.a.vars}
 
     def lift(p):
-        return p.substitute(ident, UZW_VARS)
+        return MPoly(UZW_VARS, {e + (0, 0): c for e, c in p.terms.items()})
 
     z = MPoly.variable(UZW_VARS, "z")
     w = MPoly.variable(UZW_VARS, "w")

@@ -1,4 +1,5 @@
-"""Torus pairs (G2, G3), the cubic-surface cover and the branch conditions."""
+"""Torus pairs (G2, G3), the cubic-surface cover and the branch conditions
+(1) to (3), which ``check_conditions`` alone decides."""
 
 from __future__ import annotations
 
@@ -90,83 +91,60 @@ def build_cover(pair: TorusPair) -> AffineCoverData:
 
 
 def cubic_surface_form(pair: TorusPair) -> CubicSurfaceForm:
-    lift = {v: MPoly.variable(X4_VARS, v) for v in X_VARS}
-    g2 = pair.G2.substitute(lift, X4_VARS)
-    g3 = pair.G3.substitute(lift, X4_VARS)
+    g2, g3 = (MPoly(X4_VARS, {e + (0,): c for e, c in g.terms.items()})
+              for g in (pair.G2, pair.G3))
     x3 = MPoly.variable(X4_VARS, "x3")
     return CubicSurfaceForm(x3 ** 3 + 3 * g2 * x3 + 2 * g3)
 
 
-def condition1(pair: TorusPair, delta: MPoly) -> ConditionVerdict:
-    """Does G2^3 + G3^2 cut out the given degree-6 form (up to scale)?"""
-    return _condition1(pair.delta(), delta)
+def check_conditions(pair: TorusPair, delta: MPoly | None = None) -> ConditionReport:
+    """Conditions (1) to (3) on a torus pair in one pass, with
+    delta = G2^3 + G3^2 and T = gcd(G2, G3) built once.
 
+    (1) Checked only when a target form is given: delta is a nonzero
+    multiple of it, by the scale the verdict carries.
 
-def _condition1(own: MPoly, delta: MPoly) -> ConditionVerdict:
-    if delta.is_zero():
-        raise TripleCoverError("condition 1 against the zero form")
-    if not delta.is_homogeneous() or delta.total_degree() != 6:
-        raise TripleCoverError("condition 1 needs a degree-6 form")
-    if own.is_zero():
-        return ConditionVerdict(False)
-    exps, lead = delta.leading_term()
-    mu = own.terms.get(exps, Fraction(0)) / lead
-    if mu and own == delta * mu:
-        return ConditionVerdict(True, scale=mu)
-    return ConditionVerdict(False)
+    (2) No prime divides G2 while its square divides G3.  Like the gcd of
+    G2 and repeated_part(G3), but with no gradient gcd of G3, the witness
+    gcd(T, G3 / squarefree_part(T)) has valuation min(a, b - 1) at a prime E
+    with a = v_E(G2) >= 1 and b = v_E(G3) >= 1, and 0 elsewhere.  If a form
+    is zero, the witness is the gcd's radical.
 
+    (3) Every prime whose square divides delta divides G2, and the repeated
+    part of delta / T^2 decides.  T^2 divides delta: for a prime E with
+    v_E(G2) = a and v_E(G3) = b, v_E(delta) >= min(3a, 2b) >= 2 min(a, b)
+    = v_E(T^2).  The offending primes, and so the witness, are those of the
+    whole sextic: a prime E that does not divide G2 does not divide T, so
+    E^2 divides delta / T^2 exactly when E^2 divides delta.  The quotient
+    has degree 6 - 2 deg T, and ``repeated_part`` tries a line of
+    ``SQUAREFREE_LINES`` on it before any gradient gcd.  Every prime
+    divides G2 = 0, so (3) then holds.
 
-def condition2(pair: TorusPair) -> ConditionVerdict:
-    """No prime divides G2 while its square divides G3.  Like the gcd of G2
-    and repeated_part(G3), but with no gradient gcd of G3, the witness
-    gcd(T, G3 / squarefree_part(T)), T = gcd(G2, G3), has valuation
-    min(a, b - 1) at a prime E with a = v_E(G2) >= 1 and b = v_E(G3) >= 1,
-    and 0 elsewhere.  If a form is zero, the witness is the gcd's radical."""
-    return _condition2(pair, gcd(pair.G2, pair.G3))
-
-
-def _condition2(pair: TorusPair, T: MPoly) -> ConditionVerdict:
+    Errors come in the order of the conditions: a zero or non-sextic target
+    (1), G2 = G3 = 0 (2), then delta = 0, on which (3) is undefined.
+    """
+    own, T = pair.delta(), gcd(pair.G2, pair.G3)
+    c1 = None
+    if delta is not None:
+        if delta.is_zero():
+            raise TripleCoverError("condition 1 against the zero form")
+        if not delta.is_homogeneous() or delta.total_degree() != 6:
+            raise TripleCoverError("condition 1 needs a degree-6 form")
+        exps, lead = delta.leading_term()
+        mu = own.terms.get(exps, Fraction(0)) / lead
+        holds = bool(mu) and own == delta * mu
+        c1 = ConditionVerdict(holds, scale=mu if holds else None)
     if pair.G2.is_zero() and pair.G3.is_zero():
         raise TripleCoverError("condition 2 with both forms zero")
     g = gcd(T, exact_divide(squarefree_part(T), pair.G3))
-    if g.is_constant():
-        return ConditionVerdict(True)
-    if pair.G2.is_zero() or pair.G3.is_zero():
+    if not g.is_constant() and (pair.G2.is_zero() or pair.G3.is_zero()):
         g = squarefree_part(g)
-    return ConditionVerdict(False, witness=g)
-
-
-def condition3(pair: TorusPair) -> ConditionVerdict:
-    """Every prime whose square divides G2^3 + G3^2 must divide G2.
-
-    The repeated part of delta / T^2 decides, where delta = G2^3 + G3^2
-    and T = gcd(G2, G3); ``check_conditions`` builds both once.  T^2
-    divides delta: for a prime E with v_E(G2) = a and v_E(G3) = b,
-    v_E(delta) >= min(3a, 2b) >= 2 min(a, b) = v_E(T^2).  The offending
-    primes, and so the witness, are those of the whole sextic: a prime E
-    that does not divide G2 does not divide T, so E^2 divides delta / T^2
-    exactly when E^2 divides delta.  The quotient has degree 6 - 2 deg T,
-    and ``repeated_part`` tries a line of ``SQUAREFREE_LINES`` on it before
-    any gradient gcd.  Every prime divides G2 = 0, so (3) then holds.
-    """
-    return _condition3(pair, pair.delta(), gcd(pair.G2, pair.G3))
-
-
-def _condition3(pair: TorusPair, delta: MPoly, T: MPoly) -> ConditionVerdict:
-    if delta.is_zero():
+    c2 = ConditionVerdict(True) if g.is_constant() else ConditionVerdict(False, witness=g)
+    if own.is_zero():
         raise DegenerateTorus("G2^3 + G3^2 = 0: condition 3 undefined")
-    rep = repeated_part(exact_divide(T * T, delta))
-    ok, offending = radical_divides(rep, pair.G2)
-    if ok:
-        return ConditionVerdict(True)
-    return ConditionVerdict(False, witness=offending)
-
-
-def check_conditions(pair: TorusPair, delta: MPoly | None = None) -> ConditionReport:
-    """(1) to (3) in one pass: delta and T = gcd(G2, G3) are built once."""
-    own, T = pair.delta(), gcd(pair.G2, pair.G3)
-    c1 = _condition1(own, delta) if delta is not None else None
-    return ConditionReport(c1, _condition2(pair, T), _condition3(pair, own, T), own)
+    ok, offending = radical_divides(repeated_part(exact_divide(T * T, own)), pair.G2)
+    c3 = ConditionVerdict(True) if ok else ConditionVerdict(False, witness=offending)
+    return ConditionReport(c1, c2, c3, own)
 
 
 @dataclass(frozen=True)

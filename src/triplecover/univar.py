@@ -172,7 +172,8 @@ def rational_roots(coeffs):
 
 def project(g: MPoly, h: MPoly, center):
     """(M, g(M x), h(M x), eliminant) for two ternary forms projected from a
-    center (a, b, 1), or None when the center lies on g = 0 or on h = 0.
+    center (a, b, 1), or None when the center lies on g = 0 or on h = 0,
+    which g(a, b, 1) and h(a, b, 1) decide before any shear.
 
     The shear M = ((1, 0, a), (0, 1, b), (0, 0, 1)) moves the center to
     (0 : 0 : 1), so the lines through it are the directions (w0 : w1).  With
@@ -186,11 +187,11 @@ def project(g: MPoly, h: MPoly, center):
     degree deg g * deg h by that sum on the direction (0 : 1).
     """
     a, b, _ = center
+    if not all(sum(c * a ** i * b ** j for (i, j, _), c in p.terms.items())
+               for p in (g, h)):  # g(a, b, 1) and h(a, b, 1)
+        return None
     m = ((1, 0, a), (0, 1, b), (0, 0, 1))
     g, h = linear_change(g, m), linear_change(h, m)
-    if not (g.terms.get((0, 0, g.total_degree()))
-            and h.terms.get((0, 0, h.total_degree()))):
-        return None
     return m, g, h, resultant(dehomogenize(g, U_VARS), dehomogenize(h, U_VARS), "u2")
 
 

@@ -378,6 +378,16 @@ def test_delta_output_pinned(capsys, pin):
     assert invoke(capsys, *pin["argv"]) == (pin["code"], pin["stdout"], "")
 
 
+# The json `conditions` payload of torus-check: a condition (2) failure, a
+# condition (3) failure and a condition (1) match whose scale is 1/5.
+TORUS_PINS = json.loads((Path(__file__).parent / "cli_torus_pins.json").read_text())
+
+
+@pytest.mark.parametrize("pin", TORUS_PINS, ids=[pin["name"] for pin in TORUS_PINS])
+def test_torus_check_json_pinned(capsys, pin):
+    assert invoke(capsys, *pin["argv"]) == (pin["code"], pin["stdout"], "")
+
+
 def _long_options(parser):
     options = set()
     for action in parser._actions:

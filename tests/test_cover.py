@@ -21,7 +21,8 @@ from triplecover.cover import (
     restrict_to_line,
     split_branch,
 )
-from triplecover.errors import DegenerateCover, MultiplicityTooHigh, TripleCoverError
+from triplecover.errors import (DegenerateCover, MultiplicityTooHigh, TripleCoverError,
+                               VariableMismatchError)
 from triplecover.etamap import TernaryCubic, eta
 from triplecover.polyring import (
     MPoly,
@@ -133,6 +134,15 @@ def test_resolvent_as_poly_over_a_line():
                    for q in (chart.quad, chart.const)]
         assert p.vars == tzw
         assert p == z ** 3 + on_line[0] * z + on_line[1]
+
+
+def test_multiplication_table_reads_chart_variables():
+    """The table sits in (u1, u2, z, w), so data in other variables, or in
+    (u1, u2) reordered, is refused rather than renamed."""
+    for vars in (("v1", "v2"), ("u2", "u1")):
+        p = MPoly.variable(vars, vars[0])
+        with pytest.raises(VariableMismatchError):
+            multiplication_table(AffineCoverData(p, p, p, p))
 
 
 def test_fiber_equations_shape():

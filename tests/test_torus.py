@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from triplecover import univar
 from triplecover.cover import derived_invariants, is_total_branch_point
 from triplecover.errors import CommonComponent, DegenerateTorus, TripleCoverError
 from triplecover.polyring import (
@@ -20,13 +21,9 @@ from triplecover.polyring import (
     squarefree_part,
 )
 from triplecover.torus import (
-    ConditionVerdict,
     TorusPair,
     build_cover,
     check_conditions,
-    condition1,
-    condition2,
-    condition3,
     cubic_surface_form,
     total_branch_points,
 )
@@ -127,22 +124,22 @@ def test_surface_form_shape():
 
 def test_condition1_proportionality():
     delta = 5 * ACCEPT_PAIR.delta()
-    verdict = condition1(ACCEPT_PAIR, delta)
+    verdict = check_conditions(ACCEPT_PAIR, delta).condition1
     assert verdict.holds
     assert verdict.scale == Fraction(1, 5)
     other = TorusPair(x0 ** 2 + x1 ** 2, x2 ** 3)
-    assert not condition1(other, delta).holds
+    assert not check_conditions(other, delta).condition1.holds
 
 
 def test_condition2_violation_witness():
     # x0 divides G2 and x0^2 divides G3.
-    verdict = condition2(TorusPair(x0 * x1, x0 ** 2 * x2))
+    verdict = check_conditions(TorusPair(x0 * x1, x0 ** 2 * x2)).condition2
     assert not verdict.holds
     assert verdict.witness == x0
 
 
 def test_condition2_passing():
-    assert condition2(ACCEPT_PAIR).holds
+    assert check_conditions(ACCEPT_PAIR).condition2.holds
 
 
 def test_condition3_violation_witness():
@@ -150,19 +147,19 @@ def test_condition3_violation_witness():
     pair = TorusPair(-(x0 ** 2), x0 ** 3 + x0 * x2 ** 2)
     delta = pair.delta()
     assert delta == 2 * x0 ** 4 * x2 ** 2 + x0 ** 2 * x2 ** 4
-    verdict = condition3(pair)
+    verdict = check_conditions(pair).condition3
     assert not verdict.holds
     assert verdict.witness is not None
     assert verdict.witness.degree_in("x2") > 0
 
 
 def test_condition3_passing():
-    assert condition3(ACCEPT_PAIR).holds
+    assert check_conditions(ACCEPT_PAIR).condition3.holds
 
 
 def test_condition3_rejects_degenerate():
     with pytest.raises(DegenerateTorus):
-        condition3(TorusPair(-(x0 ** 2), x0 ** 3))
+        check_conditions(TorusPair(-(x0 ** 2), x0 ** 3)).condition3
 
 
 def test_check_conditions_report():
@@ -173,7 +170,7 @@ def test_check_conditions_report():
 
 def test_check_conditions_error_precedence():
     """Errors come in the order of the conditions: a bad target form (1),
-    then G2 = G3 = 0 (2), then a zero sextic (3), which (2) alone decides."""
+    then G2 = G3 = 0 (2), then a zero sextic (3)."""
     zero, vanishing = MPoly.zero(X_VARS), TorusPair(-(x0 ** 2), x0 ** 3)
     with pytest.raises(TripleCoverError, match="condition 1 against the zero form"):
         check_conditions(TorusPair(zero, zero), zero)
@@ -182,7 +179,6 @@ def test_check_conditions_error_precedence():
     assert not isinstance(info.value, DegenerateTorus)
     with pytest.raises(DegenerateTorus, match="condition 3 undefined"):
         check_conditions(vanishing)
-    assert condition2(vanishing) == ConditionVerdict(False, witness=x0 ** 2)
 
 
 def _planted_cofactors(rng, a, b, E):
@@ -211,7 +207,7 @@ def test_condition2_reads_planted_valuations(a, b):
         m = _moved(rng)
         pair = TorusPair(linear_change(E ** a * c2, m), linear_change(E ** b * c3, m))
         reference = gcd(pair.G2, repeated_part(pair.G3))
-        verdict = condition2(pair)
+        verdict = check_conditions(pair).condition2
         assert verdict.holds == reference.is_constant() == (not (a >= 1 and b >= 2))
         assert verdict.witness == (None if verdict.holds else reference)
         if not verdict.holds:
@@ -228,7 +224,7 @@ LINEAR_POOL = [
 ]
 
 
-def oracle_condition2(g2_factors, g3):
+def oracle_c2(g2_factors, g3):
     """Direct membership check: some prime of G2 squares into G3."""
     primes = []
     for p in g2_factors:
@@ -241,7 +237,7 @@ def oracle_condition2(g2_factors, g3):
     return True
 
 
-def oracle_condition3(catalogue, pair):
+def oracle_c3(catalogue, pair):
     """Direct check over the known primes of the construction."""
     delta = pair.delta()
     for prime in catalogue:
@@ -257,14 +253,15 @@ def oracle_condition3(catalogue, pair):
 def _check_against_oracle(pair, g2_primes):
     """Conditions (2) and (3) agree with the oracles, and a failing verdict
     carries a sound witness.  ``g2_primes`` lists the primes of G2."""
-    verdict2 = condition2(pair)
-    assert verdict2.holds == oracle_condition2(g2_primes, pair.G3)
+    report = check_conditions(pair)
+    verdict2 = report.condition2
+    assert verdict2.holds == oracle_c2(g2_primes, pair.G3)
     if not verdict2.holds:
         ok, _ = divides(verdict2.witness, pair.G2)
         assert ok
         sq, _ = divides(squarefree_part(verdict2.witness) ** 2, pair.G3)
         assert sq
-    verdict3 = condition3(pair)
+    verdict3 = report.condition3
     if not verdict3.holds:
         # Soundness of the reported witness.
         w = squarefree_part(verdict3.witness)
@@ -273,7 +270,7 @@ def _check_against_oracle(pair, g2_primes):
         in_g2, _ = divides(w, pair.G2)
         assert not in_g2
     else:
-        assert oracle_condition3(LINEAR_POOL, pair)
+        assert oracle_c3(LINEAR_POOL, pair)
 
 
 def test_condition_checkers_agree_with_oracle():
@@ -381,6 +378,17 @@ def test_projected_points_of_accept_pair():
 def test_project_rejects_a_center_on_a_curve():
     assert project(ACCEPT_PAIR.G2, ACCEPT_PAIR.G3, (0, 0, 1)) is None  # on G2
     assert project(ACCEPT_PAIR.G2, ACCEPT_PAIR.G3, (1, 1, 1)) is None  # on G3
+
+
+def test_project_tests_the_center_before_it_shears(monkeypatch):
+    """A center on g = 0 is rejected with no linear_change of either form."""
+    calls = []
+    monkeypatch.setattr(univar, "linear_change",
+                        lambda p, m: calls.append(m) or linear_change(p, m))
+    assert project(ACCEPT_PAIR.G2, ACCEPT_PAIR.G3, (0, 0, 1)) is None  # on G2
+    assert calls == []
+    assert project(ACCEPT_PAIR.G2, ACCEPT_PAIR.G3, (2, 1, 1)) is not None
+    assert len(calls) == 2
 
 
 def test_project_shared_component_gives_zero_eliminant():
