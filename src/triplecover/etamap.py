@@ -4,10 +4,11 @@ The eta map sends a cubic form f in (v0, v1, v2) to chart cover data
 (a_f, b_f, c_f, d_f).  The binary cubic obtained by restricting f to the
 pencil of lines through a chart point has a discriminant delta_f that is
 proportional to the branch polynomial D_f; the proportionality constant is
--27 under the conventions fixed here.  delta_f is read off f's terms, not
-off eta: the fiber entries by a binomial expansion, and the discriminant on
-integer term tables, so ``verify_discrim_lemma`` checks the identity
-between two independent routes.
+-27 under the conventions fixed here.  The lemma ledger proves that constant
+for every f once, so ``classify`` records ``LAMBDA`` and builds no delta_f.
+delta_f is built on demand (``tck delta``, ``tck dual`` and
+``verify_discrim_lemma``), from f's terms and not from eta, so
+``verify_discrim_lemma`` checks the identity between two independent routes.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ from .polyring import (
     U_VARS,
     V_VARS,
     X_VARS,
-    _IntTerms,
-    _integer_terms,
     homogenize,
     projective_point,
     repeated_part,
@@ -43,6 +42,11 @@ _MONOMIALS = (
     ((1, 1, 1), 3), ((1, 0, 2), 3), ((0, 3, 0), 1), ((0, 2, 1), 3),
     ((0, 1, 2), 3), ((0, 0, 3), 1),
 )
+
+# delta_f = LAMBDA * D_f for every f, proved once in tests/test_lemmas.py:
+# phi(eta f) = -fiber(f) (test_eta_as_a_binary_cubic_is_minus_the_fiber) and
+# disc phi = -27 D (test_discriminant_of_phi_is_minus_27_D).
+LAMBDA = Fraction(-27)
 
 
 @dataclass(frozen=True)
@@ -82,9 +86,9 @@ class TernaryCubic:
 @dataclass(frozen=True)
 class BinaryCubic:
     """p*v1^3 + q*v1^2*v2 + r*v1*v2^2 + s*v2^3.  The entries are MPoly in
-    (u1, u2) from ``fiber_binary_cubic``, the integers of
-    ``classify._perfect_cube_fiber`` on one dual line, or, inside
-    ``delta_f``, integer term tables ``polyring._IntTerms`` in (u1, u2)."""
+    (u1, u2) from ``fiber_binary_cubic``, which ``delta_f`` takes the
+    discriminant of, or the integers of ``classify._perfect_cube_fiber`` on
+    one dual line."""
 
     p: MPoly
     q: MPoly
@@ -147,47 +151,26 @@ def _fiber_terms(terms):
 
 def binary_cubic_discriminant(bc: BinaryCubic) -> MPoly:
     """18pqrs - 4q^3 s + q^2 r^2 - 4p r^3 - 27 p^2 s^2, read off the Hessian
-    covariant as ``_hessian_discriminant(bc) / 3``.  The entries are MPoly
-    or numbers."""
-    return _hessian_discriminant(bc) / Fraction(3)
-
-
-def _hessian_discriminant(bc: BinaryCubic):
-    """4*h0*h2 - h1^2 of the Hessian covariant (h0, h1, h2), that is
-    -disc(Hess F) = 3 disc F: the classical identity in Z[p, q, r, s], at
-    eight products of entries.  Written in ring operations alone, so that it
-    runs on MPoly, numbers and ``_IntTerms``."""
+    covariant (h0, h1, h2) as (4*h0*h2 - h1^2) / 3: the classical identity
+    disc F = -disc(Hess F) / 3 in Z[p, q, r, s], at eight products of
+    entries.  The entries are MPoly or numbers."""
     h0, h1, h2 = hessian_covariant(bc)
-    return 4 * h0 * h2 - h1 * h1
+    return (4 * h0 * h2 - h1 * h1) / Fraction(3)
 
 
 def delta_f(f: TernaryCubic) -> MPoly:
     """Discriminant of the symbolic fiber cubic; chart dual-sextic equation.
-
-    It is computed on the primitive integer multiple k*f of f: its fiber
-    entries are k times f's, so ``_hessian_discriminant`` of them, on
-    integer term tables, is 3*k^4 * delta_f."""
+    ``classify`` does not call it: it records ``LAMBDA`` instead."""
     if f.is_zero():
         raise DegenerateCubic("delta of the zero cubic")
-    poly = f.as_poly()
-    terms = _integer_terms(poly)
-    exps = next(iter(terms))
-    k = terms[exps] / poly.terms[exps]
-    disc = _hessian_discriminant(BinaryCubic(*map(_IntTerms, _fiber_terms(terms))))
-    factor = 1 / (3 * k ** 4)
-    return MPoly(U_VARS, {e: c * factor for e, c in disc.items()})
+    return binary_cubic_discriminant(fiber_binary_cubic(f))
 
 
-def verify_discrim_lemma(f: TernaryCubic, D: MPoly | None = None) -> DiscrimCertificate:
-    """Certify delta_f = lambda * D_f as an exact identity.
-
-    ``D`` is D_f when the caller has it already; it defaults to
-    ``derived_invariants(eta(f)).D``.  delta_f is always computed from f
-    itself, so the identity is checked either way.
-    """
+def verify_discrim_lemma(f: TernaryCubic) -> DiscrimCertificate:
+    """Certify delta_f = lambda * D_f as an exact identity, with delta_f
+    built from f and D_f from ``eta(f)``."""
     delta = delta_f(f)
-    if D is None:
-        D = derived_invariants(eta(f)).D
+    D = derived_invariants(eta(f)).D
     if D.is_zero():
         raise DegenerateCover("branch polynomial D_f vanishes identically")
     exps, lead = D.leading_term()

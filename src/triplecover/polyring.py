@@ -13,8 +13,6 @@ same values, so callers need not know which one ran.  Every certificate
 read along a line restricts a form's ``_integer_terms`` with ``_on_line`` to
 integer coefficient lists: this line test, the direction lifts in ``univar``
 and the jet checks in ``classify``.  ``_gcd`` is the one univariate Euclid.
-``_times_terms`` multiplies integer term tables in several variables, which
-``_IntTerms`` gives the ring operations of ``etamap``'s discriminant.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -794,42 +791,6 @@ def _times(a, b):
         for j, y in enumerate(b, i):
             product[j] += x * y
     return product
-
-
-def _times_terms(a, b):
-    """The product of two term tables {exponents: int}, ``_times`` in
-    several variables."""
-    product = {}
-    for e1, x in a.items():
-        for e2, y in b.items():
-            e = tuple(map(operator.add, e1, e2))
-            product[e] = product.get(e, 0) + x * y
-    return {e: c for e, c in product.items() if c}
-
-
-class _IntTerms(dict):
-    """A term table {exponents: int} with the ring operations that the binary
-    cubic formulas of ``etamap`` are written in: a product by an integer or
-    by ``_times_terms``, and a difference."""
-
-    __slots__ = ()
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return _IntTerms({e: other * c for e, c in self.items()})
-        return _IntTerms(_times_terms(self, other))
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        difference = _IntTerms(self)
-        for e, c in other.items():
-            c = difference.get(e, 0) - c
-            if c:
-                difference[e] = c
-            else:
-                del difference[e]
-        return difference
 
 
 def _clear_denominators(coeffs):

@@ -1,7 +1,8 @@
 """delta_f and the fiber cubic against a reference built the long way: f
 substituted on the dual line v0 = -u1*v1 - u2*v2 with ``MPoly.substitute``,
 and the discriminant 18pqrs - 4q^3 s + q^2 r^2 - 4p r^3 - 27p^2 s^2 expanded
-with ``MPoly`` products.  Then a count of the work ``delta_f`` does."""
+with ``MPoly`` products.  Then a check that ``delta_f`` substitutes nothing
+and that a flag ``classify`` never calls it."""
 
 import importlib
 import random
@@ -88,37 +89,27 @@ def test_the_cubics_cover_each_kind():
     assert any(zero) and not all(zero)
 
 
-@pytest.fixture
-def mpoly_work(monkeypatch):
-    """Count ``MPoly`` products with an ``MPoly`` operand, and substitutions."""
-    work = []
-    mul, substitute = MPoly.__mul__, MPoly.substitute
-
-    def counting_mul(a, b):
-        if isinstance(b, MPoly):
-            work.append("product")
-        return mul(a, b)
-
-    def counting_substitute(*args, **kwargs):
-        work.append("substitute")
-        return substitute(*args, **kwargs)
-
-    monkeypatch.setattr(MPoly, "__mul__", counting_mul)
-    monkeypatch.setattr(MPoly, "__rmul__", counting_mul)
-    monkeypatch.setattr(MPoly, "substitute", counting_substitute)
-    return work
-
-
 def _flag_smooth_cubic():
     tc = types.SimpleNamespace(polyring=polyring, etamap=etamap, classify=classify)
     return workloads.WORKLOADS["flag_smooth"].build(tc, 1)[0].payload.flag_cubic
 
 
 @pytest.mark.parametrize("f", [FERMAT, _flag_smooth_cubic()], ids=["fermat", "flag_smooth"])
-def test_delta_f_makes_no_mpoly_product_and_no_substitution(f, mpoly_work):
-    delta = delta_f(f)
-    assert mpoly_work == []
-    assert not delta.is_zero()
+def test_delta_f_substitutes_nothing_and_flag_classify_never_calls_it(f, monkeypatch):
+    """delta_f reads the fiber off f's terms, with no ``MPoly.substitute``.
+    A flag ``classify`` records lambda = -27 from the lemma ledger and calls
+    neither ``verify_discrim_lemma`` nor ``delta_f``; both are patched on the
+    module, where ``verify_discrim_lemma`` looks ``delta_f`` up."""
+    substitutions, calls = [], []
+    substitute = MPoly.substitute
+    monkeypatch.setattr(MPoly, "substitute",
+                        lambda *args, **kwargs: substitutions.append(args) or substitute(*args, **kwargs))
+    assert not delta_f(f).is_zero()
+    assert substitutions == []
+    for name in ("delta_f", "verify_discrim_lemma"):
+        monkeypatch.setattr(etamap, name, lambda *args, name=name, inner=getattr(etamap, name):
+                            calls.append(name) or inner(*args))
     report = classify.classify(classify.CoverSpec.flag(f))
+    assert calls == []
     assert report.case == classify.CASE_FLAG_BUNDLE
-    assert report.certificates["lambda"] == -27
+    assert report.certificates["lambda"] == Fraction(-27)

@@ -9,7 +9,8 @@ import pytest
 from triplecover.cover import AffineCoverData, derived_invariants
 from triplecover.etamap import (_MONOMIALS, BinaryCubic, TernaryCubic, binary_cubic_discriminant,
                                 eta, fiber_binary_cubic, hessian_covariant)
-from triplecover.polyring import V_VARS, MPoly
+from triplecover.polyring import V_VARS, X4_VARS, X_VARS, MPoly, resultant
+from triplecover.torus import CubicSurfaceForm
 
 PQRS = ("p", "q", "r", "s")
 GENERIC = BinaryCubic(*(MPoly.variable(PQRS, v) for v in PQRS))
@@ -41,6 +42,42 @@ def test_cubic_discriminant_against_sympy():
                         p, q, r, s)
     mine = binary_cubic_discriminant(GENERIC).terms
     assert {e: Fraction(int(c)) for e, c in oracle.terms()} == mine
+
+
+def test_resultant_with_the_derivative_is_minus_a_disc():
+    """Res_s(F, F') = -a disc F for F = a s^3 + b s^2 + c s + d in
+    Z[a, b, c, d].  This is the "Res_s(F, F') = +-f(q) disc F" of
+    ``classify._singular_points``, where a = f(q)."""
+    ring = ("a", "b", "c", "d", "s")
+    a, b, c, d, s = (MPoly.variable(ring, v) for v in ring)
+    F = a * s ** 3 + b * s ** 2 + c * s + d
+    res = resultant(F, F.partial_derivative("s"), "s")
+    assert res == -a * binary_cubic_discriminant(BinaryCubic(a, b, c, d))
+    sympy = pytest.importorskip("sympy")
+    a, b, c, d, s = sympy.symbols("a b c d s")
+    F = a * s ** 3 + b * s ** 2 + c * s + d
+    oracle = sympy.resultant(F, sympy.diff(F, s), s)
+    assert sympy.expand(oracle + a * sympy.discriminant(F, s)) == 0
+    assert {e + (0,): Fraction(int(k)) for e, k in sympy.Poly(oracle, a, b, c, d).terms()} \
+        == res.terms
+
+
+def test_surface_discriminant_is_minus_108_delta():
+    """disc_x(x^3 + 3p x + 2q) = -108 (p^3 + q^2) in Z[p, q], computed by
+    ``CubicSurfaceForm.x3_discriminant`` with (x0, x1) in place of (p, q).
+    The form is monic in x3, so the identity holds at (p, q) = (G2, G3) for
+    every torus pair: the surface discriminant is -108 (G2^3 + G3^2), which
+    ``cross_validate``'s surface check compares with the branch sextic."""
+    x0, x1, x3 = (MPoly.variable(X4_VARS, v) for v in ("x0", "x1", "x3"))
+    disc = CubicSurfaceForm(x3 ** 3 + 3 * x0 * x3 + 2 * x1).x3_discriminant()
+    p, q = (MPoly.variable(X_VARS, v) for v in ("x0", "x1"))
+    assert disc == -108 * (p ** 3 + q ** 2)
+    one, zero = MPoly.constant(X_VARS, 1), MPoly.zero(X_VARS)
+    assert binary_cubic_discriminant(BinaryCubic(one, zero, 3 * p, 2 * q)) == disc
+    sympy = pytest.importorskip("sympy")
+    p, q, x = sympy.symbols("p q x")
+    oracle = sympy.discriminant(x ** 3 + 3 * p * x + 2 * q, x)
+    assert sympy.expand(oracle + 108 * (p ** 3 + q ** 2)) == 0
 
 
 # The cover data as one binary cubic, phi = (b, -3a, 3d, -c).

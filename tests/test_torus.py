@@ -157,11 +157,6 @@ def test_condition3_passing():
     assert check_conditions(ACCEPT_PAIR).condition3.holds
 
 
-def test_condition3_rejects_degenerate():
-    with pytest.raises(DegenerateTorus):
-        check_conditions(TorusPair(-(x0 ** 2), x0 ** 3)).condition3
-
-
 def test_check_conditions_report():
     report = check_conditions(ACCEPT_PAIR, 4 * ACCEPT_PAIR.delta())
     assert report.all_hold()
