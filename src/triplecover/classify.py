@@ -377,8 +377,8 @@ def _classify_raw(cov: AffineCoverData) -> ClassificationReport:
 
 
 def cross_validate(report: ClassificationReport):
-    """Re-check the bookkeeping of a finished report, and its
-    ``squarefree_line`` certificate over Q; returns violations."""
+    """Re-check the bookkeeping of a finished report, its ``squarefree_line``
+    certificate over Q and its cubic surface term by term; returns violations."""
     violations = []
     if report.branch_form is not None:
         if report.branch_form.is_zero() or not report.branch_form.is_homogeneous() \
@@ -408,13 +408,15 @@ def cross_validate(report: ClassificationReport):
     if report.case == CASE_CUBIC_SURFACE:
         surface = report.certificates.get("surface")
         if surface is not None and report.branch_form is not None:
-            disc = surface.x3_discriminant()
-            exps, lead = report.branch_form.leading_term()
-            mu = disc.terms.get(exps, Fraction(0)) / lead
-            if not mu or disc != report.branch_form * mu:
-                violations.append(
-                    "surface discriminant is not proportional to the branch"
-                )
+            form = surface.form
+            g2, g3 = (MPoly(X_VARS, {e[:3]: c / k for e, c in form.terms.items()
+                                     if e[3] == i}) for i, k in ((1, 3), (0, 2)))
+            cubic = form.is_homogeneous() and form.total_degree() == 3
+            pair = torus.TorusPair(g2, g3) if cubic else None
+            if pair is None or torus.cubic_surface_form(pair) != surface:
+                violations.append("surface is not x3^3 + 3*G2*x3 + 2*G3")
+            elif report.branch_form != pair.delta().monic():
+                violations.append("branch form is not the surface's G2^3 + G3^2")
     return violations
 
 

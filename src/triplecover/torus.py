@@ -18,7 +18,6 @@ from .polyring import (
     gcd,
     radical_divides,
     repeated_part,
-    resultant,
     squarefree_part,
 )
 from .univar import common_points
@@ -66,16 +65,10 @@ class ConditionReport:
 
 @dataclass(frozen=True)
 class CubicSurfaceForm:
-    """x3^3 + 3*G2*x3 + 2*G3 as a quaternary form."""
+    """x3^3 + 3*G2*x3 + 2*G3 as a quaternary form.  Its x3-discriminant is
+    -108 (G2^3 + G3^2), which tests/test_lemmas.py proves for all G2, G3."""
 
     form: MPoly
-
-    def x3_discriminant(self) -> MPoly:
-        """Discriminant w.r.t. x3; equals -108*(G2^3 + G3^2)."""
-        d = self.form.partial_derivative("x3")
-        res = resultant(self.form, d, "x3")
-        disc = -res  # monic cubic: disc = (-1)^(3*2/2) * Res(f, f')
-        return MPoly(X_VARS, {e[:3]: c for e, c in disc.terms.items()})
 
 
 def build_cover(pair: TorusPair) -> AffineCoverData:

@@ -1,5 +1,6 @@
 """Tests for the cover classifier and the jet-based cusp criterion."""
 
+import dataclasses
 import importlib
 import itertools
 import math
@@ -24,6 +25,7 @@ from triplecover import cover, etamap, polyring, torus, univar
 from triplecover.cover import AffineCoverData, branch_decomposition, derived_invariants
 from triplecover.errors import DegenerateCover, DegenerateCubic, LemmaViolation, TripleCoverError
 from triplecover.etamap import TernaryCubic, eta
+from triplecover.polyparse import parse_poly
 from triplecover.polyring import MPoly, U_VARS, V_VARS, X_VARS, gcd, linear_change
 from triplecover.torus import TorusPair, build_cover
 
@@ -943,6 +945,50 @@ def test_cross_validate_rechecks_squarefree_line():
         "S is not squarefree on its certificate line (a, b) = (1, -1) "
         "of x2 = a*x0 + b*x1"
     ]
+
+
+SIX_POINTS = TorusPair(x0 * x1, x2 ** 3 - x0 ** 3)
+# Its sextic is not proportional to that of SIX_POINTS.
+FERMAT_PAIR = TorusPair(x0 ** 2 + x1 ** 2 + x2 ** 2, x0 ** 3 + x1 ** 3 + x2 ** 3)
+
+
+def test_cross_validate_surface_takes_no_resultant_in_four_variables(monkeypatch):
+    """The surface certificate is checked by its terms: no subresultant
+    sequence runs on a form in (x0, x1, x2, x3)."""
+    for pair in (SIX_POINTS, FERMAT_PAIR):
+        report = classify(CoverSpec.torus(pair))
+        calls = []
+        _counting(monkeypatch, polyring, "_subresultants", calls)
+        assert cross_validate(report) == []
+        monkeypatch.undo()
+        # Only the re-check of the squarefree_line certificate, in t.
+        assert {p.vars for p, *_ in calls} == {polyring.T_VARS}
+
+
+def test_cross_validate_flags_a_surface_or_branch_of_another_pair():
+    report, other = (classify(CoverSpec.torus(pair)) for pair in (SIX_POINTS, FERMAT_PAIR))
+    assert cross_validate(report) == [] == cross_validate(other)
+
+    def with_surface(surface):
+        return dataclasses.replace(
+            report, certificates={**report.certificates, "surface": surface})
+
+    assert len(cross_validate(with_surface(other.certificates["surface"]))) == 1
+    assert len(cross_validate(dataclasses.replace(report, branch_form=other.branch_form))) == 1
+    # The surfaces of (G2, -G3) and (c^2 G2, c^3 G3) are X under x3 -> -x3 and
+    # x3 -> c x3, with the same monic sextic: the check passes them.
+    for g2, g3 in ((SIX_POINTS.G2, -SIX_POINTS.G3), (4 * SIX_POINTS.G2, 8 * SIX_POINTS.G3)):
+        assert cross_validate(with_surface(torus.cubic_surface_form(TorusPair(g2, g3)))) == []
+
+
+@pytest.mark.parametrize("extra", ["x3^2*x0", "x3", "x3^3"])
+def test_cross_validate_flags_a_malformed_surface(extra):
+    """An x3^2 term, a stray term of another degree (whose x3 part is no
+    quadratic G2) and a wrong x3^3 coefficient are violations, not errors."""
+    report = classify(CoverSpec.torus(SIX_POINTS))
+    form = report.certificates["surface"].form + parse_poly(extra, polyring.X4_VARS)
+    report.certificates["surface"] = torus.CubicSurfaceForm(form)
+    assert len(cross_validate(report)) == 1
 
 
 def test_classify_generic_torus_pair_takes_no_gradient_gcd(monkeypatch):

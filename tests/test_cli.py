@@ -379,7 +379,10 @@ def test_delta_output_pinned(capsys, pin):
 
 
 # The json `conditions` payload of torus-check: a condition (2) failure, a
-# condition (3) failure and a condition (1) match whose scale is 1/5.
+# condition (3) failure and a condition (1) match whose scale is 1/5.  Then
+# `classify` of valid torus pairs, in text and json, which runs the surface
+# check of cross_validate: six points (two of them rational), G2 = 0, a line
+# T = x0 shared by G2 and G3, and a pair of Fermat forms.
 TORUS_PINS = json.loads((Path(__file__).parent / "cli_torus_pins.json").read_text())
 
 

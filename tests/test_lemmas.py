@@ -10,7 +10,6 @@ from triplecover.cover import AffineCoverData, derived_invariants
 from triplecover.etamap import (_MONOMIALS, BinaryCubic, TernaryCubic, binary_cubic_discriminant,
                                 eta, fiber_binary_cubic, hessian_covariant)
 from triplecover.polyring import V_VARS, X4_VARS, X_VARS, MPoly, resultant
-from triplecover.torus import CubicSurfaceForm
 
 PQRS = ("p", "q", "r", "s")
 GENERIC = BinaryCubic(*(MPoly.variable(PQRS, v) for v in PQRS))
@@ -62,14 +61,23 @@ def test_resultant_with_the_derivative_is_minus_a_disc():
         == res.terms
 
 
+def surface_discriminant(form: MPoly) -> MPoly:
+    """The x3-discriminant -Res_x3(F, dF/dx3) of a form F in (x0, x1, x2, x3)
+    that is a monic cubic in x3, as a form in (x0, x1, x2).  The tests of the
+    surface identity in test_torus.py and test_acceptance.py use it too."""
+    disc = -resultant(form, form.partial_derivative("x3"), "x3")
+    return MPoly(X_VARS, {e[:3]: c for e, c in disc.terms.items()})
+
+
 def test_surface_discriminant_is_minus_108_delta():
     """disc_x(x^3 + 3p x + 2q) = -108 (p^3 + q^2) in Z[p, q], computed by
-    ``CubicSurfaceForm.x3_discriminant`` with (x0, x1) in place of (p, q).
-    The form is monic in x3, so the identity holds at (p, q) = (G2, G3) for
-    every torus pair: the surface discriminant is -108 (G2^3 + G3^2), which
-    ``cross_validate``'s surface check compares with the branch sextic."""
+    ``surface_discriminant`` with (x0, x1) in place of (p, q).  The form is
+    monic in x3, so the identity holds at (p, q) = (G2, G3) for every torus
+    pair: the discriminant of the surface certificate is -108 (G2^3 + G3^2).
+    ``cross_validate`` relies on it and compares the certificate's terms with
+    the pair's, with no resultant."""
     x0, x1, x3 = (MPoly.variable(X4_VARS, v) for v in ("x0", "x1", "x3"))
-    disc = CubicSurfaceForm(x3 ** 3 + 3 * x0 * x3 + 2 * x1).x3_discriminant()
+    disc = surface_discriminant(x3 ** 3 + 3 * x0 * x3 + 2 * x1)
     p, q = (MPoly.variable(X_VARS, v) for v in ("x0", "x1"))
     assert disc == -108 * (p ** 3 + q ** 2)
     one, zero = MPoly.constant(X_VARS, 1), MPoly.zero(X_VARS)
