@@ -13,6 +13,8 @@ same values, so callers need not know which one ran.  Every certificate
 read along a line restricts a form's ``_integer_terms`` with ``_on_line`` to
 integer coefficient lists: this line test, the direction lifts in ``univar``
 and the jet checks in ``classify``.  ``_gcd`` is the one univariate Euclid.
+``_pseudo_divmod`` is the one pseudo-division: on integer lists for ``_gcd``
+and ``univar``, and on the ``MPoly`` coefficient lists of ``_subresultants``.
 """
 
 from __future__ import annotations
@@ -526,50 +528,35 @@ def _content_and_primitive(p: MPoly, var):
     return content, exact_divide(content, p)
 
 
-def _pseudo_remainder(p: MPoly, q: MPoly, var) -> MPoly:
-    """prem(p, q) w.r.t. var: lc(q)^(dp-dq+1) * p mod q.
-
-    A step that cancels more than one degree uses up fewer than dp-dq+1
-    factors of lc(q); the missing ones are multiplied in at the end, so the
-    value is exact (the subresultant sequence needs it).
-    """
-    dq = q.degree_in(var)
-    lc_q = q.coefficients_in(var)[dq]
-    v = MPoly.variable(p.vars, var)
-    r, dr = p, p.degree_in(var)
-    missing = max(dr - dq + 1, 0)
-    while dr >= dq:  # the zero polynomial has degree -1
-        lc_r = r.coefficients_in(var)[dr]
-        r = r * lc_q - q * lc_r * v ** (dr - dq)
-        missing -= 1
-        dr = r.degree_in(var)
-    if r.is_zero() or not missing:
-        return r
-    return r * lc_q ** missing
-
-
 def _subresultants(p: MPoly, q: MPoly, var):
-    """The subresultant sequence of p and q, both of positive degree in var
-    (Collins 1967; Cohen, Algorithm 3.3.7), run until a pseudo-remainder
-    vanishes or is constant in var; every division is exact.  Returns the
-    last two members a, b, the scale h and the sign of the Sylvester row
-    swaps.  If deg b > 0, b is a multiple of gcd(p, q) of the same degree.
+    """The subresultant sequence of p and q, not both constant in var
+    (Collins 1967; Cohen, Algorithm 3.3.7), on their ascending coefficient
+    lists in var, run until a pseudo-remainder vanishes or is constant in
+    var; every division is exact.  Returns the last two members a, b as
+    lists of ``MPoly`` free of var, the scale h and the sign of the
+    Sylvester row swaps.  If len(b) > 1, b is a multiple of gcd(p, q) of
+    the same degree.
     """
-    dp, dq = p.degree_in(var), q.degree_in(var)
+    zero = MPoly.zero(p.vars)
+    a, b = ([by_degree.get(k, zero) for k in range(max(by_degree) + 1)]
+            for by_degree in (p.coefficients_in(var), q.coefficients_in(var)))
+    dp, dq = len(a) - 1, len(b) - 1
     # Res(q, p) = (-1)^(dp*dq) Res(p, q).
     sign = -1 if dp < dq and dp % 2 and dq % 2 else 1
-    a, b = (p, q) if dp >= dq else (q, p)
+    if dp < dq:
+        a, b = b, a
     g = h = MPoly.constant(p.vars, 1)
-    while b.degree_in(var) > 0:
-        da, db = a.degree_in(var), b.degree_in(var)
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
         delta = da - db
         if da % 2 and db % 2:
             sign = -sign
-        r = _pseudo_remainder(a, b, var)
-        if r.is_zero():
+        r = _pseudo_divmod(a, b)[1]
+        if not r:
             break
-        a, b = b, exact_divide(g * h ** delta, r)
-        g = a.coefficients_in(var)[db]
+        scale = g * h ** delta
+        a, b = b, [exact_divide(scale, c) for c in r]
+        g = a[-1]
         # Only the first step can have delta = 0; it leaves h alone.
         if delta:
             h = exact_divide(h ** (delta - 1), g ** delta)
@@ -595,8 +582,10 @@ def _gcd_inner(p: MPoly, q: MPoly) -> MPoly:
     cont_q, prim_q = _content_and_primitive(q, var)
     cont = _gcd_inner(cont_p, cont_q)
     _, last, _, _ = _subresultants(prim_p, prim_q, var)
-    if last.degree_in(var) == 0:
+    if len(last) == 1:
         return cont
+    v = MPoly.variable(p.vars, var)
+    last = sum((c * v ** k for k, c in enumerate(last)), MPoly.zero(p.vars))
     return cont * _content_and_primitive(last, var)[1]
 
 
@@ -616,18 +605,13 @@ def resultant(p: MPoly, q: MPoly, var) -> MPoly:
     p._check_same(q)
     if p.is_zero() or q.is_zero():
         raise DegenerateCover("resultant of a zero polynomial")
-    dp, dq = p.degree_in(var), q.degree_in(var)
-    if dp == 0 and dq == 0:
+    if p.degree_in(var) == 0 == q.degree_in(var):
         raise TripleCoverError("resultant: both arguments constant in %s" % var)
-    if dq == 0:
-        return q ** dp
-    if dp == 0:
-        return p ** dq
     a, b, h, sign = _subresultants(p, q, var)
-    if b.degree_in(var) > 0:
+    if len(b) > 1:
         return MPoly.zero(p.vars)
-    da = a.degree_in(var)
-    res = exact_divide(h ** (da - 1), b ** da)
+    da = len(a) - 1
+    res = exact_divide(h ** (da - 1), b[0] ** da)
     return res if sign == 1 else -res
 
 
@@ -804,8 +788,9 @@ def _clear_denominators(coeffs):
 
 
 def _pseudo_divmod(a, b):
-    """Pseudo-division of ascending integer lists, b[-1] != 0: (q, r) with
-    b[-1]^k a = q b + r, k = max(len(a) - len(b) + 1, 0), and r trimmed."""
+    """Pseudo-division of ascending coefficient lists, b[-1] != 0, whose
+    entries are ints or ``MPoly``: (q, r) with b[-1]^k a = q b + r,
+    k = max(len(a) - len(b) + 1, 0), and r trimmed."""
     q, r, lead = [], list(a), b[-1]
     while len(r) >= len(b):
         c = r.pop()

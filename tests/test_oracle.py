@@ -20,6 +20,7 @@ from triplecover.cover import (  # noqa: E402
     derived_invariants,
     is_line_cover_connected,
 )
+from triplecover.errors import TripleCoverError  # noqa: E402
 from triplecover.etamap import TernaryCubic, eta  # noqa: E402
 from triplecover.polyring import (  # noqa: E402
     MPoly,
@@ -150,11 +151,18 @@ def test_resultant_matches_sympy():
         (surface, surface.partial_derivative("x3"), "x3"),
         # A common factor: the resultant is zero.
         ((u1 - u2) * (u2 ** 2 + u1), (u1 - u2) * (u2 + 3), "u2"),
+        # One argument constant in var: Res = p^dq or q^dp.
+        (u1 + 2, u2 ** 3 + u1 * u2 + 1, "u2"),
+        (MPoly.constant(U_VARS, Fraction(-2, 3)), u1 * u2 ** 2 + 3, "u2"),
+        (u2 ** 2 + u1, u1 ** 2 - 3, "u2"),
+        (u2 ** 3 - u1 * u2, MPoly.constant(U_VARS, Fraction(5, 2)), "u2"),
     ]
     for p, q, var in cases:
         want = sylvester_resultant(p, q, var)
         got = resultant(p, q, var)
         assert sympy.expand(to_sympy(got).as_expr() - want) == 0
+    with pytest.raises(TripleCoverError):
+        resultant(u1 + 1, MPoly.constant(U_VARS, Fraction(1, 2)), "u2")
 
 
 def test_squarefree_decomposition_matches_sympy():

@@ -16,7 +16,7 @@ from triplecover.polyring import (
     T_VARS,
     U_VARS,
     X_VARS,
-    _pseudo_remainder,
+    _pseudo_divmod,
     dehomogenize,
     divides,
     exact_divide,
@@ -170,10 +170,28 @@ def test_gcd_with_a_constant_takes_no_subresultant(monkeypatch):
 
 
 def test_pseudo_remainder_is_exact():
-    # The second step cancels two degrees of u2; u1^3 * u2^4 = u1 mod q.
-    q = u1 * u2 ** 2 + 1
-    assert _pseudo_remainder(u2 ** 4, q, "u2") == u1
-    assert _pseudo_remainder(u2 + 1, q, "u2") == u2 + 1
+    # On coefficient lists ascending in u2, as the subresultant sequence
+    # reads them.  The second step cancels two degrees of u2, and
+    # u1^3 * u2^4 = u1 mod q.
+    zero = MPoly.zero(U_VARS)
+    q = [one, zero, u1]  # u1 * u2^2 + 1
+    assert _pseudo_divmod([zero, zero, zero, zero, one], q)[1] == [u1]
+    assert _pseudo_divmod([one, one], q)[1] == [one, one]  # u2 + 1
+
+
+def test_resultant_and_gcd_pseudo_divide_through_one_routine(monkeypatch):
+    """The subresultant sequence takes its remainders from ``_pseudo_divmod``,
+    the routine of the univariate Euclid ``_gcd``."""
+    calls = []
+    real = polyring._pseudo_divmod
+    monkeypatch.setattr(polyring, "_pseudo_divmod",
+                        lambda a, b: calls.append(len(a)) or real(a, b))
+    p, q = u2 ** 3 + u1 * u2 + 2, u1 * u2 ** 2 - u2 + 3
+    assert resultant(p, q, "u2") != 0
+    assert len(calls) == 2  # degrees 3, 2, 1, 0 in u2
+    calls.clear()
+    assert gcd(p * (u1 + u2), q * (u1 + u2)) == u1 + u2
+    assert calls
 
 
 def test_kernel_imports_only_errors_and_stdlib():
