@@ -518,14 +518,18 @@ def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
 
 
 def _content_and_primitive(p: MPoly, var):
-    """Content (gcd of coefficients w.r.t. var) and primitive part."""
+    """Content (gcd of coefficients w.r.t. var) and primitive part; a
+    constant content c is divided out by one scale p * (1/c), not `divides`."""
     coeffs = list(p.coefficients_in(var).values())
     content = coeffs[0]
     for c in coeffs[1:]:
         content = _gcd_inner(content, c)
         if content.is_constant() and content.constant_value() == 1:
             break
-    return content, exact_divide(content, p)
+    if not content.is_constant():
+        return content, exact_divide(content, p)
+    c = content.constant_value()
+    return content, p if c == 1 else p / c
 
 
 def _subresultants(p: MPoly, q: MPoly, var):
@@ -825,10 +829,13 @@ def radical_divides(p: MPoly, q: MPoly):
 
     Returns (flag, offending_factor_or_None); the offending factor is the
     product of the irreducible factors of p that do not divide q, monic.
-    Dividing the squarefree part r of p by gcd(r, q) leaves exactly those.
+    Dividing the squarefree part r of p by gcd(r, q) leaves exactly those;
+    a nonzero constant p has none, whatever q is.
     """
     if p.is_zero():
         raise ZeroDivisionError("radical_divides with zero first argument")
+    if p.is_constant():
+        return True, None
     r = squarefree_part(p)
     rest = exact_divide(gcd(r, q), r).monic()
     if rest.is_constant():

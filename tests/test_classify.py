@@ -965,6 +965,26 @@ def test_cross_validate_surface_takes_no_resultant_in_four_variables(monkeypatch
         assert {p.vars for p, *_ in calls} == {polyring.T_VARS}
 
 
+def test_condition3_on_a_squarefree_sextic_takes_no_gcd(monkeypatch):
+    """On a pair with squarefree G2^3 + G3^2, condition (3) hands
+    ``radical_divides`` the constant repeated part 1, which has no factor
+    to test against G2: no gcd runs inside it."""
+    radical, gcds = [], []
+    inner = torus.radical_divides
+
+    def watched(p, q):
+        before = len(gcds)
+        result = inner(p, q)
+        radical.append((p, len(gcds) - before))
+        return result
+
+    monkeypatch.setattr(torus, "radical_divides", watched)
+    _counting(monkeypatch, polyring, "gcd", gcds)
+    report = classify(CoverSpec.torus(SIX_POINTS))
+    assert report.case == CASE_CUBIC_SURFACE
+    assert radical == [(MPoly.constant(X_VARS, 1), 0)]
+
+
 def test_cross_validate_flags_a_surface_or_branch_of_another_pair():
     report, other = (classify(CoverSpec.torus(pair)) for pair in (SIX_POINTS, FERMAT_PAIR))
     assert cross_validate(report) == [] == cross_validate(other)

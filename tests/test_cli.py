@@ -144,6 +144,19 @@ def test_restrict_line_disconnected(capsys):
     assert "witness root: 0" in out
 
 
+@pytest.mark.xfail(strict=True, reason="connectivity is decided over Q, not Q-bar "
+                   "(ROADMAP item 9): conjugate sheets read 'connected'")
+def test_restrict_line_conjugate_sheets_are_disconnected(capsys):
+    """The resolvent Y^3 - 2(1 + t)^3 has the three roots cbrt(2)*w^k*(1 + t),
+    conjugate over Q(cbrt(2), w): the line's cover is three disjoint sheets."""
+    code, out, _ = invoke(
+        capsys, "restrict-line", "--a", "0", "--b", "1", "--c", "2*(1+u1)^3",
+        "--d", "0", "--u1", "t", "--u2", "2*t",
+    )
+    assert "connectivity: disconnected" in out
+    assert code == 1
+
+
 def test_total_branch_flag(capsys):
     code, out, _ = invoke(capsys, "total-branch", "--cubic", FERMAT)
     assert code == 0

@@ -120,6 +120,15 @@ def test_gcd_matches_sympy():
         # v1, v2 is not part of the gcd.
         ((v0 + v1) * (v1 * v0 + 1), (v0 + v1) * (v2 * v0 + 1)),
     ]
+    # Contents in the first variable that are a non-unit integer, a
+    # Fraction, or a polynomial in the other variables.
+    for vars in (U_VARS, V_VARS):
+        rest = MPoly.variable(vars, vars[-1])
+        for scale_p, scale_q in ((6, -4), (Fraction(2, 3), Fraction(-5, 7)),
+                                 ((rest - 2) * (rest + 1), 3 * (rest - 2) * rest)):
+            common = nonzero(lambda: random_poly(rng, vars, deg=1))
+            cases.append((scale_p * common * nonzero(lambda: random_poly(rng, vars, deg=2)),
+                          scale_q * common * nonzero(lambda: random_poly(rng, vars, deg=2))))
     for p, q in cases:
         assert proportional(gcd(p, q), sympy.gcd(to_sympy(p), to_sympy(q)))
 

@@ -169,6 +169,45 @@ def test_gcd_with_a_constant_takes_no_subresultant(monkeypatch):
     assert calls == []
 
 
+def _content_forms():
+    """(form, its content in x0): content 1, 6, 2/3, a negative leading
+    coefficient, and the non-constant content x1."""
+    x0, x1, x2 = (MPoly.variable(X_VARS, v) for v in X_VARS)
+    return [
+        (x0 ** 3 + x0 * x1 * x2 - 2 * x2 ** 3, 1),
+        (6 * x0 ** 2 - 12 * x0 * x1 + 18 * x2 ** 2, 6),
+        (Fraction(2, 3) * x0 ** 2 + Fraction(4, 3) * x0 * x1 - Fraction(2, 3) * x2 ** 2,
+         Fraction(2, 3)),
+        (-4 * x0 ** 2 * x1 + 6 * x2 ** 3, 2),
+        (x1 * (x0 ** 2 + 3 * x0 * x1 - x1 ** 2), x1),
+    ]
+
+
+def test_content_and_primitive_matches_the_long_division():
+    for p, expected in _content_forms():
+        content, primitive = polyring._content_and_primitive(p, "x0")
+        assert content == expected
+        assert primitive == exact_divide(content, p)
+        assert content * primitive == p
+
+
+def test_constant_content_is_scaled_out_without_divides(monkeypatch):
+    """A constant content is divided out by one scale of the coefficients;
+    only the non-constant content x1 takes the long division of
+    ``divides``."""
+    calls = []
+    real = polyring.divides
+    monkeypatch.setattr(polyring, "divides",
+                        lambda p, q: calls.append((p, q)) or real(p, q))
+    for p, expected in _content_forms():
+        calls.clear()
+        polyring._content_and_primitive(p, "x0")
+        if isinstance(expected, MPoly):
+            assert calls == [(expected, p)]
+        else:
+            assert calls == []
+
+
 def test_pseudo_remainder_is_exact():
     # On coefficient lists ascending in u2, as the subresultant sequence
     # reads them.  The second step cancels two degrees of u2, and
@@ -355,6 +394,10 @@ def test_radical_divides():
     ok, offending = radical_divides(p * (u2 - 1), u1 + 1)
     assert not ok
     assert offending is not None
+    # A nonzero constant has no irreducible factor, against any q.
+    for c in (one, MPoly.constant(U_VARS, Fraction(-5, 3))):
+        assert radical_divides(c, u1 * u2 + 7) == (True, None)
+        assert radical_divides(c, MPoly.zero(U_VARS)) == (True, None)
 
 
 def test_only_the_kernel_certifies_squarefree():
