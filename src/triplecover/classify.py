@@ -406,6 +406,9 @@ def cross_validate(report: ClassificationReport):
         if report.total_branch.get("count") != 9:
             violations.append("flag-bundle reports must carry 9 cusps")
     if report.case == CASE_CUBIC_SURFACE:
+        if sum(report.total_branch.get("multiplicities", {}).values()) \
+                > report.total_branch.get("count", 0):
+            violations.append("total-branch multiplicities exceed the count")
         surface = report.certificates.get("surface")
         if surface is not None and report.branch_form is not None:
             form = surface.form

@@ -79,6 +79,10 @@ class _Lexer:
 
 
 class _Parser:
+    """Numbers and variable powers multiply into one (exponents, coefficient)
+    term and an expression's terms into one ``MPoly``; only a parenthesized
+    factor takes ``MPoly`` products and powers."""
+
     def __init__(self, text, vars):
         self.lexer = _Lexer(text)
         self.vars = tuple(vars)
@@ -92,35 +96,41 @@ class _Parser:
         return p
 
     def _expr(self) -> MPoly:
-        negate = False
+        sign = 1
         if self.lexer.kind == "-":
             self.lexer.take()
-            negate = True
-        p = self._term()
-        if negate:
-            p = -p
-        while self.lexer.kind in ("+", "-"):
-            op, _, _ = self.lexer.take()
-            q = self._term()
-            p = p + q if op == "+" else p - q
-        return p
+            sign = -1
+        table = {}
+        while True:
+            for exps, c in self._term():
+                table[exps] = table.get(exps, 0) + sign * c
+            if self.lexer.kind not in ("+", "-"):
+                return MPoly(self.vars, table)
+            sign = 1 if self.lexer.take()[0] == "+" else -1
 
-    def _term(self) -> MPoly:
-        p = self._factor()
-        while self.lexer.kind == "*":
+    def _term(self):
+        """The (exponents, coefficient) pairs of a product of factors."""
+        coeff, exps, poly = 1, [0] * len(self.vars), None
+        while True:
+            base, e = self._base(), 1
+            if self.lexer.kind == "^":
+                self.lexer.take()
+                e = int(self.lexer.expect("int", "exponent digits")[1])
+            if isinstance(base, MPoly):
+                poly = base ** e if poly is None else poly * base ** e
+            elif isinstance(base, str):
+                exps[self.vars.index(base)] += e
+            else:
+                coeff *= base ** e
+            if self.lexer.kind != "*":
+                break
             self.lexer.take()
-            p = p * self._factor()
-        return p
+        if poly is None:
+            return [(tuple(exps), coeff)]
+        return (poly * MPoly(self.vars, {tuple(exps): coeff})).terms.items()
 
-    def _factor(self) -> MPoly:
-        p = self._base()
-        if self.lexer.kind == "^":
-            self.lexer.take()
-            _, digits, _ = self.lexer.expect("int", "exponent digits")
-            p = p ** int(digits)
-        return p
-
-    def _base(self) -> MPoly:
+    def _base(self):
+        """A number, a variable name or a parenthesized ``MPoly``."""
         kind = self.lexer.kind
         if kind == "int":
             _, digits, _ = self.lexer.take()
@@ -131,8 +141,8 @@ class _Parser:
                 den = int(dens)
                 if den == 0:
                     raise ParseError(offset, "a nonzero denominator", "0")
-                return MPoly.constant(self.vars, Fraction(num, den))
-            return MPoly.constant(self.vars, num)
+                return Fraction(num, den)
+            return num
         if kind == "ident":
             _, name, offset = self.lexer.take()
             if name not in self.vars:
@@ -141,7 +151,7 @@ class _Parser:
                     "a variable among %s" % (", ".join(self.vars)),
                     repr(name),
                 )
-            return MPoly.variable(self.vars, name)
+            return name
         if kind == "(":
             self.lexer.take()
             p = self._expr()

@@ -147,19 +147,24 @@ class IntersectionLocus:
 
 
 def total_branch_points(pair: TorusPair) -> IntersectionLocus:
-    """Intersection of the conic G2 = 0 and the cubic G3 = 0.
+    """Intersection of the conic G2 = 0 and the cubic G3 = 0 off their
+    common curve T = gcd(G2, G3) = 0, along which the cover is totally
+    branched too: the (2 - deg T)(3 - deg T) points of G2/T = G3/T = 0.
 
-    ``univar.common_points`` projects it from the first center at which
+    ``univar.common_points`` projects them from the first center at which
     every rational direction holds a single intersection point, which is
-    then rational and has the multiplicity of its direction.  The centers
-    that fail lie on G2, on G3 or on one of the at most 15 lines through two
-    of the 6 points.  A zero eliminant means that G2 and G3 share a
-    component.
+    then rational and has the multiplicity of its direction; a point that
+    also lies on T is listed.  Only a zero eliminant of G2 and G3 takes the
+    gcd T, and the projection is skipped when G2/T is constant.
     """
-    if pair.G2.is_zero() or pair.G3.is_zero():
+    g2, g3 = pair.G2, pair.G3
+    if g2.is_zero() or g3.is_zero():
         raise CommonComponent("a zero form has no finite intersection")
+    deg = 0
     try:
-        *_, points = common_points(pair.G2, pair.G3)
+        *_, points = common_points(g2, g3)
     except CommonComponent:
-        raise CommonComponent("G2 and G3 share a component") from None
-    return IntersectionLocus(6, tuple(sorted(points)))
+        T = gcd(g2, g3)
+        g2, g3, deg = exact_divide(T, g2), exact_divide(T, g3), T.total_degree()
+        points = [] if g2.is_constant() else common_points(g2, g3)[-1]
+    return IntersectionLocus((2 - deg) * (3 - deg), tuple(sorted(points)))

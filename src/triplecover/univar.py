@@ -1,28 +1,27 @@
 """Univariate helpers: coefficient lists, rational roots, and the rational
-common points of two plane curves, found by projecting them onto a
-univariate eliminant.  ``common_points`` holds the one center policy of the
-two loci that need an eliminant: the flexes of a cubic and G2 = G3 = 0.
-The singular points of a cubic need none; their directions are the roots
-of its branch sextic on a line, and ``lift_directions`` lifts them too.
-``interpolate`` has no caller in the package; it stays because
-``tests/test_bench.py`` requires every name in the benchmark's ``REPORTED``
-to exist.
+common points of two plane curves, projected from a center onto a
+univariate eliminant with no change of coordinates.  ``common_points``
+holds the one center policy of the two loci that need an eliminant: the
+flexes of a cubic and G2 = G3 = 0.  The singular points of a cubic need
+none; their directions are the roots of its branch sextic on a line, and
+``lift_directions`` lifts them too.  ``interpolate`` has no caller in the
+package; ``tests/test_bench.py`` requires every name in the benchmark's
+``REPORTED`` to exist.
 
-Everything is exact: rational roots come from p-adic lifting and are checked
-by evaluation, with no floating point anywhere.  The squarefree part of an
-eliminant and the point on a direction both come from the one Euclid of the
-package, ``polyring._gcd``, on integer coefficient lists; a direction is
-lifted from two such lists on its line (g and h, or F and F'), never ``MPoly``.
+Everything is exact, with no floating point: rational roots come from
+p-adic lifting and are checked by evaluation.  Squarefree parts and lifts
+come from the one Euclid, ``polyring._gcd``, on integer coefficient lists.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .errors import CommonComponent, IndeterminateCount, TripleCoverError
 from .polyring import (PROJECTION_CENTERS, MPoly, U_VARS, _clear_denominators,
-                       _gcd, _integer_terms, _on_line, _pseudo_divmod, dehomogenize,
-                       linear_change, projective_point, resultant)
+                       _gcd, _integer_terms, _on_line, _pseudo_divmod, projective_point,
+                       resultant)
 
 
 def to_univariate(p: MPoly, var):
@@ -170,29 +169,33 @@ def rational_roots(coeffs):
 # Projection of the common points of two plane curves
 
 
-def project(g: MPoly, h: MPoly, center):
-    """(M, g(M x), h(M x), eliminant) for two ternary forms projected from a
-    center (a, b, 1), or None when the center lies on g = 0 or on h = 0,
-    which g(a, b, 1) and h(a, b, 1) decide before any shear.
-
-    The shear M = ((1, 0, a), (0, 1, b), (0, 0, 1)) moves the center to
-    (0 : 0 : 1), so the lines through it are the directions (w0 : w1).  With
-    the center off both curves, g(M x) and h(M x) have constant leading
-    coefficients in x2, so setting x0 = 1 commutes with their resultant in
-    x2: the eliminant resultant(g(M x)(1, u1, u2), h(M x)(1, u1, u2), "u2")
-    is a polynomial in u1, zero exactly when g and h share a component.
-    Otherwise (the projection proof of Bezout's theorem) the multiplicity
-    of a root t is the sum of the intersection multiplicities of the common
-    points on the direction (1 : t), and the eliminant falls short of
-    degree deg g * deg h by that sum on the direction (0 : 1).
-    """
+def _chart_plane(terms, center):
+    """A form's ``_integer_terms`` on the chart plane (1 + a*u2, u1 + b*u2, u2)
+    of the center (a, b, 1), one ``MPoly`` in (u1, u2), expanded binomially
+    in integers as ``etamap._fiber_terms`` expands the fiber cubic."""
     a, b, _ = center
-    if not all(sum(c * a ** i * b ** j for (i, j, _), c in p.terms.items())
-               for p in (g, h)):  # g(a, b, 1) and h(a, b, 1)
+    table = {}
+    for (i, j, k), c in terms.items():
+        for p in range(i + 1):
+            cp = c * comb(i, p) * a ** p
+            for q in range(j + 1):
+                e = (q, p + j - q + k)
+                table[e] = table.get(e, 0) + cp * comb(j, q) * b ** (j - q)
+    return MPoly(U_VARS, table)
+
+
+def project(g, h, center):
+    """The resultant in u2 of two ternary forms' ``_integer_terms`` on the
+    chart plane of a center (a, b, 1), or None when g(a, b, 1) h(a, b, 1) = 0.
+    Their leads in u2 are then constant, so this eliminant in u1 is zero
+    exactly when g and h share a component.  Otherwise (the projection proof
+    of Bezout's theorem) a root t has the multiplicity of the common points
+    on the line (1, t, 0) + s*center, and a shortfall from degree
+    deg g * deg h is that of (0, 1, 0) + s*center."""
+    a, b, _ = center
+    if not all(sum(c * a ** i * b ** j for (i, j, _), c in t.items()) for t in (g, h)):
         return None
-    m = ((1, 0, a), (0, 1, b), (0, 0, 1))
-    g, h = linear_change(g, m), linear_change(h, m)
-    return m, g, h, resultant(dehomogenize(g, U_VARS), dehomogenize(h, U_VARS), "u2")
+    return resultant(_chart_plane(g, center), _chart_plane(h, center), "u2")
 
 
 def _lift_direction(g, h):
@@ -224,44 +227,38 @@ def lift_directions(on_line, coeffs, degree, center):
     return points
 
 
-def projected_points(projection):
-    """The rational common points of a ``project`` result with a nonzero
+def projected_points(g, h, elim, degree, center):
+    """The rational common points of two forms of degrees multiplying to
+    ``degree``, from their ``_integer_terms`` and nonzero ``project``
     eliminant, each as (point, multiplicity of its direction), or None when
-    a rational direction holds more than one common point.  Each direction
-    is lifted from the center (0 : 0 : 1), and M maps the point back."""
-    m, g, h, elim = projection
-    forms = [_integer_terms(g), _integer_terms(h)]
-    points = lift_directions(lambda P: [_on_line(f, P, (0, 0, 1)) for f in forms],
-                             to_univariate(elim, "u1"),
-                             g.total_degree() * h.total_degree(), (0, 0, 1))
-    if points is None:
-        return None
-    return [(projective_point([sum(r * c for r, c in zip(row, w)) for row in m]), mult)
-            for w, mult in points]
+    a rational direction holds more than one common point."""
+    points = lift_directions(lambda P: [_on_line(t, P, center) for t in (g, h)],
+                             to_univariate(elim, "u1"), degree, center)
+    return points and [(projective_point(p), mult) for p, mult in points]
 
 
 def common_points(g: MPoly, h: MPoly):
-    """(center, M, eliminant, points) for the rational common points of two
+    """(center, eliminant, points) for the rational common points of two
     ternary forms, projected from the first of ``PROJECTION_CENTERS`` that
     lies off both curves and at which ``projected_points`` lifts every
     rational direction to one common point.
 
     Every rational common point lies on a rational direction, so the points
     are all of them, each with the multiplicity of its direction.  A center
-    fails only on g, on h or on a line through two common points.  When
-    these make a curve of degree at most 20, as for both loci it serves
-    (flexes, G2 = G3 = 0), it misses a point of the 21 x 21 grid.  A zero
-    eliminant raises CommonComponent; running out of centers raises
-    IndeterminateCount.
+    fails only on g, on h or on a line through two common points, a curve
+    of degree at most 20 for both loci served (flexes, G2 = G3 = 0), which
+    misses a point of the 21 x 21 grid.  A zero eliminant raises
+    CommonComponent, and running out of centers IndeterminateCount.
     """
+    degree = g.total_degree() * h.total_degree()
+    g, h = _integer_terms(g), _integer_terms(h)
     for center in PROJECTION_CENTERS:
-        projection = project(g, h, center)
-        if projection is None:
+        elim = project(g, h, center)
+        if elim is None:
             continue
-        m, _, _, elim = projection
         if elim.is_zero():
             raise CommonComponent("the curves share a component")
-        points = projected_points(projection)
+        points = projected_points(g, h, elim, degree, center)
         if points is not None:
-            return center, m, elim, points
+            return center, elim, points
     raise IndeterminateCount("no usable projection center found")

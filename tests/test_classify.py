@@ -644,7 +644,7 @@ def test_classify_flag_accepts_center_on_an_irrational_flex_line(monkeypatch):
     monkeypatch.undo()
     assert list(projections) == [(0, 0, 1)]
     assert exact == []
-    elim = projections[(0, 0, 1)][3]
+    elim = projections[(0, 0, 1)]
     assert {mult for _, mult in polyring.squarefree_decomposition(elim).parts} == {1, 3}
 
 
@@ -999,6 +999,25 @@ def test_cross_validate_flags_a_surface_or_branch_of_another_pair():
     # x3 -> c x3, with the same monic sextic: the check passes them.
     for g2, g3 in ((SIX_POINTS.G2, -SIX_POINTS.G3), (4 * SIX_POINTS.G2, 8 * SIX_POINTS.G3)):
         assert cross_validate(with_surface(torus.cubic_surface_form(TorusPair(g2, g3)))) == []
+
+
+def test_cross_validate_flags_multiplicities_above_the_count():
+    """The rational points of G2 = G3 = 0 carry at most the count."""
+    report = classify(CoverSpec.torus(TorusPair(x0 * x1, x0 * (x1 ** 2 + x2 ** 2))))
+    assert report.total_branch["count"] == 2 and cross_validate(report) == []
+    report.total_branch["count"] = 1
+    assert cross_validate(report) == ["total-branch multiplicities exceed the count"]
+
+
+def test_classify_changes_no_coordinates(monkeypatch):
+    """A flag and a torus classification project their loci with no
+    ``linear_change`` and no ``MPoly.substitute``."""
+    calls = []
+    _counting(monkeypatch, polyring, "linear_change", calls)
+    _counting(monkeypatch, MPoly, "substitute", calls)
+    assert classify(CoverSpec.flag(FERMAT)).case == CASE_FLAG_BUNDLE
+    assert classify(CoverSpec.torus(SIX_POINTS)).case == CASE_CUBIC_SURFACE
+    assert calls == []
 
 
 @pytest.mark.parametrize("extra", ["x3^2*x0", "x3", "x3^3"])

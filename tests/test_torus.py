@@ -6,12 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from triplecover import univar
+from triplecover import torus, univar
 from triplecover.cover import derived_invariants, is_total_branch_point
-from triplecover.errors import CommonComponent, DegenerateTorus, TripleCoverError
+from triplecover.errors import DegenerateTorus, TripleCoverError
 from triplecover.polyring import (
     MPoly,
     X_VARS,
+    _integer_terms,
     divides,
     gcd,
     homogenize,
@@ -332,9 +333,43 @@ def test_total_branch_points_all_total_after_rotation():
         assert is_total_branch_point(cov, chart).status == "total"
 
 
-def test_total_branch_points_rejects_shared_component():
-    with pytest.raises(CommonComponent):
-        total_branch_points(TorusPair(x0 * x1, x0 * x1 * x2))
+def test_total_branch_points_of_a_shared_conic_is_empty():
+    """T = G2: G2/T is constant, so no point is left off T."""
+    locus = total_branch_points(TorusPair(x0 * x1, x0 * x1 * x2))
+    assert locus.count_with_multiplicity == 0 and locus.rational_points == ()
+
+
+# Valid pairs with a shared T of degree 1 or 2, and the rational points of
+# G2/T = G3/T = 0 with their multiplicities.  (0 : 1 : -1) also lies on T.
+SHARED_T = [
+    (x0 * x1, x0 * (x1 ** 2 + x2 ** 2), [((1, 0, 0), 2)]),
+    (x0 * x1, x0 * (x1 ** 2 + x2 ** 2 + x0 * x2), [((1, 0, -1), 1), ((1, 0, 0), 1)]),
+    (x0 ** 2 + x1 * x2, (x0 ** 2 + x1 * x2) * (x0 + x1 + x2), []),
+    (x0 * (x0 + x1 + x2), x0 * (x1 ** 2 - x2 ** 2),
+     [((0, 1, -1), 1), ((1, Fraction(-1, 2), Fraction(-1, 2)), 1)]),
+]
+
+
+@pytest.mark.parametrize("g2, g3, expected", SHARED_T)
+def test_total_branch_points_off_a_shared_component(g2, g3, expected):
+    """The locus off T = gcd(G2, G3) is G2/T = G3/T = 0, of
+    (2 - deg T)(3 - deg T) points: each listed point lies on both quotients,
+    and here every point is rational, so the multiplicities sum to the count."""
+    T = gcd(g2, g3)
+    quotients = [divides(T, g)[1] for g in (g2, g3)]
+    locus = total_branch_points(TorusPair(g2, g3))
+    assert locus.count_with_multiplicity == (2 - T.total_degree()) * (3 - T.total_degree())
+    assert sum(mult for _, mult in locus.rational_points) == locus.count_with_multiplicity
+    assert list(locus.rational_points) == expected
+    for point, _ in locus.rational_points:
+        assert all(not q.evaluate(dict(zip(X_VARS, point))) for q in quotients)
+
+
+def test_total_branch_points_takes_no_gcd_when_t_is_one(monkeypatch):
+    calls = []
+    monkeypatch.setattr(torus, "gcd", lambda p, q: calls.append(p) or gcd(p, q))
+    assert total_branch_points(ACCEPT_PAIR).count_with_multiplicity == 6
+    assert calls == []
 
 
 def test_total_branch_points_on_curve_vanish():
@@ -355,50 +390,58 @@ def test_total_branch_points_on_curve_vanish():
     assert seen >= 1
 
 
+def _tables(pair):
+    return _integer_terms(pair.G2), _integer_terms(pair.G3)
+
+
 def test_projected_points_of_accept_pair():
     """From a center off both curves, the rational points come back with
-    the multiplicities of their directions, and the chart eliminant is the
-    resultant in x2 with x0 = 1."""
-    projection = project(ACCEPT_PAIR.G2, ACCEPT_PAIR.G3, (2, 1, 1))
-    m, g, h, elim = projection
-    assert m == ((1, 0, 2), (0, 1, 1), (0, 0, 1))
-    assert g == linear_change(ACCEPT_PAIR.G2, m)
-    assert h == linear_change(ACCEPT_PAIR.G3, m)
-    assert homogenize(elim, 6, X_VARS) == resultant(g, h, "x2")
+    the multiplicities of their directions, and the chart eliminant is, up
+    to a nonzero constant, the resultant in x2 of the forms sheared by
+    m = ((1, 0, a), (0, 1, b), (0, 0, 1)), with x0 = 1."""
+    g, h = _tables(ACCEPT_PAIR)
+    elim = project(g, h, (2, 1, 1))
     F = Fraction
-    assert sorted(projected_points(projection)) == [
+    assert sorted(projected_points(g, h, elim, 6, (2, 1, 1))) == [
         ((F(0), F(1), F(0)), 3),
         ((F(1), F(0), F(1)), 1),
     ]
+    m = ((1, 0, 2), (0, 1, 1), (0, 0, 1))
+    sheared = resultant(linear_change(ACCEPT_PAIR.G2, m),
+                        linear_change(ACCEPT_PAIR.G3, m), "x2")
+    elim = homogenize(elim, 6, X_VARS)
+    assert elim * sheared.leading_coefficient() == sheared * elim.leading_coefficient()
 
 
 def test_project_rejects_a_center_on_a_curve():
-    assert project(ACCEPT_PAIR.G2, ACCEPT_PAIR.G3, (0, 0, 1)) is None  # on G2
-    assert project(ACCEPT_PAIR.G2, ACCEPT_PAIR.G3, (1, 1, 1)) is None  # on G3
+    assert project(*_tables(ACCEPT_PAIR), (0, 0, 1)) is None  # on G2
+    assert project(*_tables(ACCEPT_PAIR), (1, 1, 1)) is None  # on G3
 
 
 def test_project_tests_the_center_before_it_shears(monkeypatch):
-    """A center on g = 0 is rejected with no linear_change of either form."""
+    """A center on g = 0 is rejected before either form is put on the
+    chart plane of the center."""
     calls = []
-    monkeypatch.setattr(univar, "linear_change",
-                        lambda p, m: calls.append(m) or linear_change(p, m))
-    assert project(ACCEPT_PAIR.G2, ACCEPT_PAIR.G3, (0, 0, 1)) is None  # on G2
+    inner = univar._chart_plane
+    monkeypatch.setattr(univar, "_chart_plane",
+                        lambda t, c: calls.append(c) or inner(t, c))
+    assert project(*_tables(ACCEPT_PAIR), (0, 0, 1)) is None  # on G2
     assert calls == []
-    assert project(ACCEPT_PAIR.G2, ACCEPT_PAIR.G3, (2, 1, 1)) is not None
+    assert project(*_tables(ACCEPT_PAIR), (2, 1, 1)) is not None
     assert len(calls) == 2
 
 
 def test_project_shared_component_gives_zero_eliminant():
-    _, _, _, elim = project(x0 * x1, x0 * x1 * x2, (1, 1, 1))
+    elim = project(_integer_terms(x0 * x1), _integer_terms(x0 * x1 * x2), (1, 1, 1))
     assert elim.is_zero()
 
 
 def test_projected_points_refuses_a_shared_direction():
     """From (0 : 0 : 1), (1 : 0 : 0) and (1 : 0 : 1) lie on one direction."""
-    pair = CHART_DEPENDENT_PAIR
-    projection = project(pair.G2, pair.G3, (0, 0, 1))
-    assert projection is not None
-    assert projected_points(projection) is None
+    g, h = _tables(CHART_DEPENDENT_PAIR)
+    elim = project(g, h, (0, 0, 1))
+    assert elim is not None
+    assert projected_points(g, h, elim, 6, (0, 0, 1)) is None
 
 
 def _multiplicities_in_chart(pair, perm):
